@@ -3,9 +3,10 @@
 //! Compares fresh `BENCH_serve.json` / `BENCH_train.json` /
 //! `BENCH_net.json` artifacts against the committed baseline
 //! (`ci/bench-baseline.json`) and exits non-zero when p50 serve latency,
-//! train time, or network serving performance regresses more than the
-//! tolerance (default 25%). Latencies and durations gate higher-is-worse;
-//! network and sharded-coordinator throughput gate lower-is-worse. A
+//! train time, line-search trials per step, or network serving
+//! performance regresses more than the tolerance (default 25%). Latencies,
+//! durations and trials per step gate higher-is-worse; network and
+//! sharded-coordinator throughput gate lower-is-worse. A
 //! machine-independent check compares cluster-mode p50 against the same
 //! run's full-sort p50, so "candidate generation stopped helping" is
 //! caught even when absolute wall-clock differs across runner hardware;
@@ -76,6 +77,9 @@ fn run() -> Result<Vec<String>, String> {
     }
     let train_sweep_seconds = sweep_times.iter().sum::<f64>() / sweep_times.len() as f64;
     let sweep_flatness = field(&train, "sweep_flatness")?;
+    // Armijo trials per accepted row step of the flatness run: a count
+    // ratio, so it gates the line search's cost free of host noise
+    let trials_per_step = field(&train, "trials_per_step")?;
     // per-model-kind serving rows (baseline key = "<kind>_p50_us", with
     // `-` mapped to `_`)
     let kinds = ["wals", "bpr", "item-knn", "popularity"];
@@ -121,6 +125,7 @@ fn run() -> Result<Vec<String>, String> {
                 "train_sweep_seconds".to_string(),
                 Json::Num(train_sweep_seconds),
             ),
+            ("trials_per_step".to_string(), Json::Num(trials_per_step)),
         ];
         for (kind, p50) in kinds.iter().zip(&kind_p50) {
             fields.push((
@@ -189,6 +194,11 @@ fn run() -> Result<Vec<String>, String> {
         "train_sweep_s",
         train_sweep_seconds,
         field(&baseline, "train_sweep_seconds")?,
+    );
+    check(
+        "trials_per_step",
+        trials_per_step,
+        field(&baseline, "trials_per_step")?,
     );
     // machine-independent same-run check: per-sweep time must stay flat
     // across a training run — last sweep within tolerance of the fastest

@@ -8,11 +8,15 @@
 //!   for per-sweep allocation churn, which once crept 0.138 s → 0.226 s
 //!   over a run;
 //! * a streaming-**ingestion** timing (edge-list text → [`Dataset`] via
-//!   the chunked reader).
+//!   the chunked reader);
+//! * the flatness run's line-search cost: Armijo trials per accepted row
+//!   step and the share of rejected row updates (counts, so the same on
+//!   every host).
 //!
 //! With `--bench-out PATH` it additionally writes a `BENCH_train.json`
 //! artifact (fastest OCuLaR fit wall-clock over the sweep, per-sweep
-//! times, ingestion seconds) for the CI bench-regression gate.
+//! times, trials per step, ingestion seconds) for the CI bench-regression
+//! gate.
 
 use ocular_baselines::{ItemKnn, KnnConfig, UserKnn};
 use ocular_bench::harness::{evaluate_recommender, OcularRecommender};
@@ -134,6 +138,7 @@ fn main() {
         ..Default::default()
     };
     let flat_fit = ocular_core::fit(&split.train, &flat_cfg);
+    let search = flat_fit.history.line_search_total();
     let per_sweep = flat_fit.history.sweep_seconds;
     let min_sweep = per_sweep.iter().cloned().fold(f64::INFINITY, f64::min);
     let last_sweep = *per_sweep.last().expect("at least one sweep");
@@ -146,6 +151,17 @@ fn main() {
         flatness <= 1.2,
         "per-sweep time is not flat: last sweep {last_sweep:.4}s > 1.2× min sweep \
          {min_sweep:.4}s — per-sweep state is leaking (allocation churn?)"
+    );
+
+    // line-search cost of the same run: objective trials per accepted
+    // row step (deterministic counts, not times)
+    println!(
+        "line search: {} trials / {} accepted steps = {:.2} per step, {} rejected ({:.2}%)",
+        search.trials,
+        search.accepted,
+        search.trials_per_step(),
+        search.rejected,
+        100.0 * search.rejected_share()
     );
 
     // streaming-ingestion timing: render the training interactions as an
@@ -233,6 +249,8 @@ fn main() {
                 Json::Arr(per_sweep.iter().map(|&s| Json::Num(s)).collect()),
             ),
             ("sweep_flatness", Json::Num(flatness)),
+            ("trials_per_step", Json::Num(search.trials_per_step())),
+            ("rejected_share", Json::Num(search.rejected_share())),
             ("ingest_seconds", Json::Num(ingest_seconds)),
             ("delta_append_seconds", Json::Num(delta_append_seconds)),
             (

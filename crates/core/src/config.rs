@@ -46,14 +46,17 @@ pub struct OcularConfig {
     pub max_iters: usize,
     /// Convergence tolerance: stop when the relative decrease of `Q` over
     /// one sweep falls below this ("convergence is declared if Q stops
-    /// decreasing").
+    /// decreasing"). Fold-in applies the same rule to each accepted step.
     pub tol: f64,
     /// Armijo sufficient-decrease constant `σ ∈ (0, 1)`.
     pub sigma: f64,
-    /// Backtracking factor `β ∈ (0, 1)`; candidate steps are `β^t`.
+    /// Backtracking factor `β ∈ (0, 1)`; candidate steps are `β^t` for
+    /// `t < max_backtracks`.
     pub beta: f64,
-    /// Maximum backtracking trials per factor update; if the Armijo test
-    /// never passes the factor is left unchanged this sweep.
+    /// Size of the step grid `t ∈ [0, max_backtracks)`, in `[1, 256]`.
+    /// Each factor row's search starts from the `t` of its last step (see
+    /// [`crate::linesearch`]); if the Armijo test fails down to the floor
+    /// `t = max_backtracks − 1`, the factor is left unchanged this sweep.
     pub max_backtracks: usize,
     /// Projected-gradient steps per subproblem. The paper uses 1; larger
     /// values approximate solving each subproblem exactly (the ablation of
@@ -134,6 +137,9 @@ impl OcularConfig {
         }
         if !(0.0..1.0).contains(&self.beta) || self.beta == 0.0 {
             return Err("beta must lie in (0, 1)".into());
+        }
+        if !(1..=256).contains(&self.max_backtracks) {
+            return Err("max_backtracks must lie in [1, 256]".into());
         }
         if self.inner_steps == 0 {
             return Err("inner_steps must be positive".into());
@@ -218,6 +224,18 @@ mod tests {
         .is_err());
         assert!(OcularConfig {
             beta: 0.0,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(OcularConfig {
+            max_backtracks: 0,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(OcularConfig {
+            max_backtracks: 257,
             ..Default::default()
         }
         .validate()

@@ -10,7 +10,7 @@
 
 use crate::config::OcularConfig;
 use crate::gradient::{negative_sum, LocalProblem, PosWeights};
-use crate::linesearch::{armijo_step, LineSearch, StepOutcome};
+use crate::linesearch::{armijo_step, LineSearch, SearchCounts, StepOutcome};
 use crate::model::FactorModel;
 use crate::recommend::Recommendation;
 
@@ -21,8 +21,9 @@ pub struct FoldIn {
     pub factors: Vec<f64>,
     /// Local objective value at the solution.
     pub objective: f64,
-    /// Projected-gradient steps taken before the Armijo search stalled or
-    /// `max_steps` was reached.
+    /// Projected-gradient steps taken before the solve converged (an
+    /// accepted step's relative decrease ≤ `cfg.tol`), the Armijo search
+    /// stalled, or `max_steps` was reached.
     pub steps: usize,
 }
 
@@ -54,8 +55,10 @@ impl FoldInScratch {
 ///
 /// `weight` is the positive-example weight (1.0 for plain OCuLaR; a
 /// R-OCuLaR-style weight `(n_items − |basket|)/|basket|` may be passed).
-/// `max_steps` bounds the inner solve; the subproblem is strongly convex
-/// for `lambda > 0`, so 50–100 steps reach machine-precision stationarity.
+/// The solve stops once an accepted step decreases the local objective by
+/// at most `cfg.tol` relative to it (the rule [`crate::fit`] applies per
+/// sweep); `max_steps` caps it. The subproblem is strongly convex for
+/// `lambda > 0`, so the iterates converge to its unique minimiser.
 ///
 /// # Panics
 /// Panics if any basket item is out of range, or on duplicate items.
@@ -159,14 +162,29 @@ pub fn fold_in_user_with(
     scratch.grad.resize(k, 0.0);
     scratch.step.clear();
     scratch.step.resize(k, 0.0);
-    let mut q = problem.objective(own);
-    let mut steps = 0;
+    // the step exponent carries from one step to the next, as a training
+    // row's carries from one sweep to the next
+    let (mut t, mut counts) = (0u8, SearchCounts::default());
+    let mut q = problem.objective_and_gradient(own, &mut scratch.grad);
     for _ in 0..max_steps {
-        problem.gradient(own, &mut scratch.grad);
-        match armijo_step(own, &scratch.grad, q, &problem, &ls, &mut scratch.step) {
+        match armijo_step(
+            own,
+            &scratch.grad,
+            q,
+            &problem,
+            &ls,
+            &mut scratch.step,
+            &mut t,
+            &mut counts,
+        ) {
             StepOutcome::Accepted { q_new, .. } => {
+                // the relative-decrease rule `fit` applies per sweep
+                let converged = q - q_new <= cfg.tol * q_new.abs().max(1.0);
                 q = q_new;
-                steps += 1;
+                if converged {
+                    break;
+                }
+                problem.gradient(own, &mut scratch.grad);
             }
             StepOutcome::Rejected | StepOutcome::Stationary => break,
         }
@@ -174,7 +192,7 @@ pub fn fold_in_user_with(
     FoldIn {
         factors: own.clone(),
         objective: q,
-        steps,
+        steps: counts.accepted as usize,
     }
 }
 
@@ -316,6 +334,20 @@ mod tests {
                 "item {i}: fold {p_fold:.3} vs trained {p_train:.3}"
             );
         }
+    }
+
+    #[test]
+    fn fold_in_stops_when_converged() {
+        let (model, _r, cfg) = trained();
+        let fold = fold_in_user(&model, &[0, 1], &cfg, 1.0, 100);
+        assert!(
+            fold.steps > 0 && fold.steps < 100,
+            "the solve must stop on the tolerance, not the cap: {} steps",
+            fold.steps
+        );
+        // a looser tolerance stops no later
+        let loose = OcularConfig { tol: 1e-2, ..cfg };
+        assert!(fold_in_user(&model, &[0, 1], &loose, 1.0, 100).steps <= fold.steps);
     }
 
     #[test]

@@ -74,6 +74,27 @@ impl LocalProblem<'_> {
         q
     }
 
+    /// Writes `∇Q(own)` into `grad` and returns `Q(own)`, bitwise equal to
+    /// [`Self::objective`], from the one pass over the positives that
+    /// builds the gradient (each affinity `⟨own, f_e⟩` is computed once).
+    pub fn objective_and_gradient(&self, own: &[f64], grad: &mut [f64]) -> f64 {
+        debug_assert_eq!(own.len(), grad.len());
+        let mut q = ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own);
+        grad.copy_from_slice(self.negsum);
+        ops::axpy(2.0 * self.lambda, own, grad);
+        for &e in self.positives {
+            let row = self.other.row(e as usize);
+            let p = ops::dot(own, row);
+            let w = self.weights.get(e as usize);
+            q += w * pair_loss(p);
+            ops::axpy(-positive_coefficient(p, w), row, grad);
+        }
+        if let Some(d) = self.fixed_dim {
+            grad[d] = 0.0;
+        }
+        q
+    }
+
     /// Writes `∇Q(own)` into `grad`.
     pub fn gradient(&self, own: &[f64], grad: &mut [f64]) {
         debug_assert_eq!(own.len(), grad.len());
@@ -171,6 +192,34 @@ mod tests {
                 "dim {d}: numeric {numeric} vs analytic {}",
                 grad[d]
             );
+        }
+    }
+
+    #[test]
+    fn fused_pass_is_bitwise_equal_to_separate_passes() {
+        let o = other();
+        let sum = o.column_sums();
+        let positives: Vec<u32> = vec![0, 2, 3];
+        let weights = vec![1.5, 0.0, 0.7, 2.0];
+        let mut negsum = vec![0.0; 2];
+        negative_sum(&o, &sum, &positives, &mut negsum);
+        for fixed_dim in [None, Some(0)] {
+            let problem = LocalProblem {
+                positives: &positives,
+                other: &o,
+                weights: PosWeights::PerEntity(&weights),
+                negsum: &negsum,
+                lambda: 0.3,
+                fixed_dim,
+            };
+            for own in [[0.4, 0.6], [0.0, 0.0], [1e-9, 3.0]] {
+                let mut fused = vec![0.0; 2];
+                let mut plain = vec![0.0; 2];
+                let q = problem.objective_and_gradient(&own, &mut fused);
+                problem.gradient(&own, &mut plain);
+                assert_eq!(q.to_bits(), problem.objective(&own).to_bits());
+                assert_eq!(fused, plain);
+            }
         }
     }
 

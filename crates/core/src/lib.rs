@@ -20,8 +20,8 @@
 //! Fitting maximises the regularised likelihood of the observed one-class
 //! matrix (Eq. 3–4) by cyclic block coordinate descent: item factors and
 //! user factors are updated alternately, each by a **single projected
-//! gradient step** with Armijo backtracking line search along the projection
-//! arc (Section IV-B/IV-D). The `Σ_u f_u` sum-trick makes a full sweep cost
+//! gradient step** with an Armijo line search along the projection arc,
+//! started from each row's last step (Section IV-B/IV-D). The `Σ_u f_u` sum-trick makes a full sweep cost
 //! `O(nnz · K)` — linear in the positive examples and in the number of
 //! co-clusters, which is the paper's scalability claim (Figure 7).
 //!
@@ -49,7 +49,7 @@
 //! | [`config`] | IV-B, V | [`OcularConfig`], [`Weighting`] |
 //! | [`loss`] | IV-B | objective `Q`, numerically safe pair loss |
 //! | [`gradient`] | IV-D | per-factor gradients with the sum-trick |
-//! | [`linesearch`] | IV-D | Armijo backtracking along the projection arc |
+//! | [`linesearch`] | IV-D | warm-started Armijo search along the projection arc |
 //! | [`trainer`] | IV-B/D | block coordinate descent, telemetry, [`fit`] |
 //! | [`recommend`] | IV-C | top-M recommendation lists |
 //! | [`topm`] | IV-C | bounded-heap top-M selection kernel |

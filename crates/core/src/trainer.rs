@@ -6,16 +6,22 @@
 //! column sums are computed once so every subproblem gets its negative sum
 //! in `O(deg · K)` — the Yang–Leskovec sum-trick that gives the algorithm
 //! its `O(nnz · K)` per-sweep complexity.
+//!
+//! The loop lives in [`fit_with`] and the row update in
+//! [`HalfSweep::update_row`]; [`fit`] runs the rows in order and
+//! `ocular_parallel::fit_parallel` runs them on threads, so both trainers
+//! share one sweep and produce bitwise-identical models.
 
 use crate::config::OcularConfig;
 use crate::gradient::{negative_sum, LocalProblem, PosWeights};
-use crate::linesearch::{armijo_step, fixed_step, LineSearch, StepOutcome};
+use crate::linesearch::{armijo_step, fixed_step, LineSearch, SearchCounts, StepOutcome};
 use crate::loss::user_weights;
 use crate::model::FactorModel;
 use ocular_linalg::Matrix;
 use ocular_sparse::{CsrMatrix, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
 /// Telemetry recorded by the trainer.
@@ -26,6 +32,10 @@ pub struct TrainingHistory {
     /// Wall-clock seconds of each sweep (excludes the objective evaluation,
     /// matching the paper's "running time per iteration" in Figure 7).
     pub sweep_seconds: Vec<f64>,
+    /// Line-search trials and row-update outcomes of each sweep (both
+    /// half-sweeps). Integer counts, so every thread count records the
+    /// same values.
+    pub line_search: Vec<SearchCounts>,
     /// Whether the relative-decrease tolerance was met before `max_iters`.
     pub converged: bool,
 }
@@ -51,6 +61,15 @@ impl TrainingHistory {
         } else {
             self.sweep_seconds.iter().sum::<f64>() / self.sweep_seconds.len() as f64
         }
+    }
+
+    /// Line-search counts summed over every sweep.
+    pub fn line_search_total(&self) -> SearchCounts {
+        let mut total = SearchCounts::default();
+        for &c in &self.line_search {
+            total += c;
+        }
+        total
     }
 }
 
@@ -91,82 +110,110 @@ fn init_factors(
     m
 }
 
-/// Updates one side (all items, or all users) in place. Returns the number
-/// of accepted steps.
-#[allow(clippy::too_many_arguments)]
-fn sweep_side<'w>(
-    own: &mut Matrix,
-    other: &Matrix,
-    adjacency: &CsrMatrix, // rows = own entities, cols = other entities
-    weights_for_positives: &dyn Fn(usize) -> PosWeights<'w>,
-    cfg: &OcularConfig,
-    fixed_dim: Option<usize>,
-    ls: &LineSearch,
-    scratch: &mut SweepScratch,
-) -> usize {
-    other.column_sums_into(&mut scratch.other_sum);
-    let mut accepted = 0usize;
-    for e in 0..own.rows() {
-        let positives = adjacency.row(e);
-        negative_sum(other, &scratch.other_sum, positives, &mut scratch.negsum);
-        let problem = LocalProblem {
-            positives,
-            other,
-            weights: weights_for_positives(e),
-            negsum: &scratch.negsum,
-            lambda: cfg.lambda,
-            fixed_dim,
-        };
-        let row = own.row_mut(e);
-        let mut q_local = problem.objective(row);
-        for _ in 0..cfg.inner_steps {
-            problem.gradient(row, &mut scratch.grad);
-            if cfg.line_search {
-                match armijo_step(
-                    row,
-                    &scratch.grad,
-                    q_local,
-                    &problem,
-                    ls,
-                    &mut scratch.candidate,
-                ) {
-                    StepOutcome::Accepted { q_new, .. } => {
-                        q_local = q_new;
-                        accepted += 1;
-                    }
-                    StepOutcome::Rejected | StepOutcome::Stationary => break,
-                }
-            } else {
-                q_local = fixed_step(
-                    row,
-                    &scratch.grad,
-                    cfg.fixed_step,
-                    &problem,
-                    &mut scratch.candidate,
-                );
-                accepted += 1;
-            }
-        }
-    }
-    accepted
+/// Which weighting rule a half-sweep's positives follow.
+#[derive(Debug, Clone, Copy)]
+enum SideWeights<'a> {
+    /// Item rows: each positive weighs its *user's* `w_u`.
+    PerCounterpart(&'a [f64]),
+    /// User rows: all positives of user `u` share `w_u`.
+    OwnWeight(&'a [f64]),
 }
 
-/// Reusable per-sweep buffers (one allocation for the whole training run,
-/// including the fixed side's column sums — no per-sweep churn).
-struct SweepScratch {
+/// One half-sweep: what every row update of one side (all items, or all
+/// users) shares. [`fit_with`] builds it and hands it to a sweep executor,
+/// which calls [`HalfSweep::update_row`] exactly once for every row.
+///
+/// Within a half-sweep a row's subproblem reads only the fixed side and
+/// the row itself, so the executor may update rows in any order or
+/// concurrently and still produce bitwise-identical factors.
+pub struct HalfSweep<'a> {
+    /// Factor matrix of the fixed side.
+    other: &'a Matrix,
+    /// Column sums of `other`, computed once per half-sweep (the
+    /// Yang–Leskovec sum-trick).
+    other_sum: &'a [f64],
+    /// Rows = the updated side's entities, columns = the fixed side's.
+    adjacency: &'a CsrMatrix,
+    weights: SideWeights<'a>,
+    fixed_dim: Option<usize>,
+    /// Each row's remembered step exponent (see [`crate::linesearch`]).
+    steps: &'a [AtomicU8],
+    cfg: &'a OcularConfig,
+    ls: LineSearch,
+}
+
+impl HalfSweep<'_> {
+    /// Runs `inner_steps` projected-gradient steps on row `e` (`row` is
+    /// that row of the updated side) and adds the line-search counts to
+    /// `counts`.
+    pub fn update_row(
+        &self,
+        e: usize,
+        row: &mut [f64],
+        scratch: &mut RowScratch,
+        counts: &mut SearchCounts,
+    ) {
+        let positives = self.adjacency.row(e);
+        negative_sum(self.other, self.other_sum, positives, &mut scratch.negsum);
+        let problem = LocalProblem {
+            positives,
+            other: self.other,
+            weights: match self.weights {
+                SideWeights::PerCounterpart(w) => PosWeights::PerEntity(w),
+                SideWeights::OwnWeight(w) => PosWeights::Uniform(w[e]),
+            },
+            negsum: &scratch.negsum,
+            lambda: self.cfg.lambda,
+            fixed_dim: self.fixed_dim,
+        };
+        // one thread touches a row per half-sweep, and the executor's join
+        // orders half-sweeps, so relaxed accesses suffice
+        let mut t = self.steps[e].load(Ordering::Relaxed);
+        for _ in 0..self.cfg.inner_steps {
+            let q = problem.objective_and_gradient(row, &mut scratch.grad);
+            if self.cfg.line_search {
+                let outcome = armijo_step(
+                    row,
+                    &scratch.grad,
+                    q,
+                    &problem,
+                    &self.ls,
+                    &mut scratch.candidate,
+                    &mut t,
+                    counts,
+                );
+                if !matches!(outcome, StepOutcome::Accepted { .. }) {
+                    break;
+                }
+            } else {
+                fixed_step(
+                    row,
+                    &scratch.grad,
+                    self.cfg.fixed_step,
+                    &mut scratch.candidate,
+                );
+                counts.accepted += 1;
+            }
+        }
+        self.steps[e].store(t, Ordering::Relaxed);
+    }
+}
+
+/// Working memory of one row update; an executor keeps one per thread.
+#[derive(Debug, Clone)]
+pub struct RowScratch {
     negsum: Vec<f64>,
     grad: Vec<f64>,
     candidate: Vec<f64>,
-    other_sum: Vec<f64>,
 }
 
-impl SweepScratch {
-    fn new(k_total: usize) -> Self {
-        SweepScratch {
+impl RowScratch {
+    /// Buffers for rows of `k_total` factors.
+    pub fn new(k_total: usize) -> Self {
+        RowScratch {
             negsum: vec![0.0; k_total],
             grad: vec![0.0; k_total],
             candidate: vec![0.0; k_total],
-            other_sum: Vec::with_capacity(k_total),
         }
     }
 }
@@ -235,14 +282,38 @@ pub fn initial_factors(r: &CsrMatrix, cfg: &OcularConfig) -> (Matrix, Matrix) {
 }
 
 /// Fits an OCuLaR (or R-OCuLaR) model to the one-class interaction store
-/// `data`. The item half-sweep reads the dataset's build-once CSC dual
-/// view ([`Dataset::item_view`]) — nothing is re-transposed per fit — and
-/// all per-sweep buffers are allocated once up front.
+/// `data`, updating rows in order. The item half-sweep reads the dataset's
+/// build-once CSC dual view ([`Dataset::item_view`]) — nothing is
+/// re-transposed per fit — and all per-sweep buffers are allocated once up
+/// front.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`OcularConfig::validate`]. Use [`try_fit`] for a
 /// fallible variant.
 pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
+    let mut scratch = RowScratch::new(cfg.k_total());
+    fit_with(data, cfg, |own, half| {
+        let mut counts = SearchCounts::default();
+        for e in 0..own.rows() {
+            half.update_row(e, own.row_mut(e), &mut scratch, &mut counts);
+        }
+        counts
+    })
+}
+
+/// The training loop shared by [`fit`] and the parallel trainer in
+/// `ocular-parallel`: seeded initialisation, the item then user
+/// half-sweeps, the objective trace and the convergence test. `sweep`
+/// executes one half-sweep — it must call [`HalfSweep::update_row`] once
+/// for every row of the matrix it is given — and returns the summed
+/// line-search counts.
+///
+/// # Panics
+/// Panics if `cfg` fails [`OcularConfig::validate`].
+pub fn fit_with<S>(data: &Dataset, cfg: &OcularConfig, mut sweep: S) -> TrainResult
+where
+    S: FnMut(&mut Matrix, &HalfSweep<'_>) -> SearchCounts,
+{
     if let Err(msg) = cfg.validate() {
         panic!("invalid OcularConfig: {msg}");
     }
@@ -257,7 +328,12 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
         beta: cfg.beta,
         max_backtracks: cfg.max_backtracks,
     };
-    let mut scratch = SweepScratch::new(cfg.k_total());
+    // every row's first search starts at α = 1
+    let first_steps =
+        |rows: usize| -> Vec<AtomicU8> { (0..rows).map(|_| AtomicU8::new(0)).collect() };
+    let item_steps = first_steps(rt.n_rows());
+    let user_steps = first_steps(r.n_rows());
+    let mut other_sum = Vec::with_capacity(cfg.k_total());
 
     let eval =
         |uf: &Matrix, itf: &Matrix| crate::loss::objective_parts(r, uf, itf, cfg.lambda, &weights);
@@ -265,6 +341,7 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
     let mut history = TrainingHistory {
         objective: vec![q],
         sweep_seconds: Vec::new(),
+        line_search: Vec::new(),
         converged: false,
     };
 
@@ -272,29 +349,37 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
         let t0 = Instant::now();
         // item half-sweep: positives of item i are the users rt.row(i);
         // each positive's weight is that user's w_u
-        sweep_side(
+        user_factors.column_sums_into(&mut other_sum);
+        let mut counts = sweep(
             &mut item_factors,
-            &user_factors,
-            rt,
-            &|_| PosWeights::PerEntity(&weights),
-            cfg,
-            item_frozen,
-            &ls,
-            &mut scratch,
+            &HalfSweep {
+                other: &user_factors,
+                other_sum: &other_sum,
+                adjacency: rt,
+                weights: SideWeights::PerCounterpart(&weights),
+                fixed_dim: item_frozen,
+                steps: &item_steps,
+                cfg,
+                ls,
+            },
         );
         // user half-sweep: positives of user u are r.row(u), all weighted w_u
-        let w_ref = &weights;
-        sweep_side(
+        item_factors.column_sums_into(&mut other_sum);
+        counts += sweep(
             &mut user_factors,
-            &item_factors,
-            r,
-            &|u| PosWeights::Uniform(w_ref[u]),
-            cfg,
-            user_frozen,
-            &ls,
-            &mut scratch,
+            &HalfSweep {
+                other: &item_factors,
+                other_sum: &other_sum,
+                adjacency: r,
+                weights: SideWeights::OwnWeight(&weights),
+                fixed_dim: user_frozen,
+                steps: &user_steps,
+                cfg,
+                ls,
+            },
         );
         history.sweep_seconds.push(t0.elapsed().as_secs_f64());
+        history.line_search.push(counts);
 
         let q_new = eval(&user_factors, &item_factors);
         history.objective.push(q_new);
@@ -557,6 +642,54 @@ mod tests {
         assert_eq!(
             result.history.objective.len(),
             result.history.iterations() + 1
+        );
+    }
+
+    #[test]
+    fn line_search_counts_cover_every_row_update() {
+        let r = two_blocks();
+        let result = fit(&r, &quick_cfg());
+        let history = &result.history;
+        assert_eq!(history.line_search.len(), history.iterations());
+        // one step per row and sweep: each ends accepted, rejected or
+        // stationary, after at least one trial
+        for c in &history.line_search {
+            assert_eq!(c.accepted + c.rejected + c.stationary, 12);
+            assert!(c.trials >= 12);
+        }
+        let total = history.line_search_total();
+        assert_eq!(
+            total.accepted + total.rejected + total.stationary,
+            12 * history.iterations() as u64
+        );
+    }
+
+    /// Count gate for the warm-started search: on a fixed b2b-like dataset
+    /// (400 × 300, 6,438 positives) and fixed work (20 sweeps, tol 0), the
+    /// search restarted at α = 1 for every row update took 109,554 trials
+    /// for 13,981 accepted steps (7.84 per step); remembering each row's
+    /// step takes 42,969 (3.07 per step). Counts, not times: it cannot
+    /// flake.
+    #[test]
+    fn warm_search_halves_trials_per_step() {
+        use ocular_datasets::profiles::{b2b_like, Scale};
+        let data = b2b_like(Scale::Factor(0.05), 7).matrix;
+        let cfg = OcularConfig {
+            k: 10,
+            lambda: 1.0,
+            max_iters: 20,
+            tol: 0.0,
+            seed: 1,
+            ..Default::default()
+        };
+        let total = fit(&data, &cfg).history.line_search_total();
+        let restart_at_one = 109_554.0 / 13_981.0;
+        assert!(
+            total.trials_per_step() <= restart_at_one / 2.0,
+            "{} trials for {} steps = {:.2} per step, not ≤ half of {restart_at_one:.2}",
+            total.trials,
+            total.accepted,
+            total.trials_per_step()
         );
     }
 

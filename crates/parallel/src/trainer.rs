@@ -3,9 +3,11 @@
 //! Within a half-sweep every factor row's subproblem reads only the *fixed*
 //! side (plus its own row), so updating all items — and then all users —
 //! concurrently is mathematically identical to the sequential sweep, not an
-//! approximation. With both trainers starting from
-//! [`ocular_core::trainer::initial_factors`], `fit_parallel` produces
-//! **bitwise-identical** models to [`ocular_core::fit`]; the speedup is
+//! approximation. Both trainers run the same loop
+//! ([`ocular_core::trainer::fit_with`]) and the same row update
+//! ([`HalfSweep::update_row`], which also keeps the row's line-search
+//! step), so `fit_parallel` produces **bitwise-identical** models and
+//! identical line-search counts to [`ocular_core::fit`]; the speedup is
 //! pure wall-clock. (The per-rating atomic kernel of [`crate::kernel`],
 //! which matches the paper's CUDA decomposition literally, is exposed and
 //! validated separately; per-row parallelism is how the same decomposition
@@ -13,78 +15,52 @@
 //! thousands of CUDA cores.)
 
 use ocular_core::config::OcularConfig;
-use ocular_core::gradient::{negative_sum, LocalProblem, PosWeights};
-use ocular_core::linesearch::{armijo_step, fixed_step, LineSearch, StepOutcome};
-use ocular_core::loss::{objective_parts, user_weights};
-use ocular_core::model::FactorModel;
-use ocular_core::trainer::{bias_layout, initial_factors, TrainResult, TrainingHistory};
+use ocular_core::linesearch::SearchCounts;
+use ocular_core::trainer::{fit_with, HalfSweep, RowScratch, TrainResult};
 use ocular_linalg::Matrix;
-use ocular_sparse::{CsrMatrix, Dataset};
+use ocular_sparse::Dataset;
 use rayon::prelude::*;
-use std::time::Instant;
+use std::sync::Mutex;
 
-/// Which side's weighting rule a half-sweep uses.
-enum SideWeights<'a> {
-    /// Item updates: each positive's weight is its *user's* `w_u`.
-    PerCounterpart(&'a [f64]),
-    /// User updates: all positives of user `u` share `w_u`.
-    OwnWeight(&'a [f64]),
+/// One thread's working memory; its counts join the half-sweep's total
+/// when the thread's state is dropped.
+struct ThreadState<'a> {
+    scratch: RowScratch,
+    counts: SearchCounts,
+    total: &'a Mutex<SearchCounts>,
+}
+
+impl Drop for ThreadState<'_> {
+    fn drop(&mut self) {
+        // integer sums: the total is the same in any join order
+        *self.total.lock().unwrap_or_else(|e| e.into_inner()) += self.counts;
+    }
 }
 
 /// One parallel half-sweep over all rows of `own`.
-#[allow(clippy::too_many_arguments)]
-fn parallel_sweep_side(
-    own: &mut Matrix,
-    other: &Matrix,
-    adjacency: &CsrMatrix,
-    side_weights: &SideWeights<'_>,
-    cfg: &OcularConfig,
-    fixed_dim: Option<usize>,
-    ls: &LineSearch,
-    other_sum: &mut Vec<f64>,
-) {
-    other.column_sums_into(other_sum);
-    let other_sum: &[f64] = other_sum;
+fn parallel_sweep_side(own: &mut Matrix, half: &HalfSweep<'_>) -> SearchCounts {
     let k = own.cols();
+    let total = Mutex::new(SearchCounts::default());
     own.as_mut_slice()
         .par_chunks_mut(k)
         .enumerate()
         .for_each_init(
-            || (vec![0.0; k], vec![0.0; k], vec![0.0; k]),
-            |(negsum, grad, candidate), (e, row)| {
-                let positives = adjacency.row(e);
-                negative_sum(other, other_sum, positives, negsum);
-                let weights = match side_weights {
-                    SideWeights::PerCounterpart(w) => PosWeights::PerEntity(w),
-                    SideWeights::OwnWeight(w) => PosWeights::Uniform(w[e]),
-                };
-                let problem = LocalProblem {
-                    positives,
-                    other,
-                    weights,
-                    negsum,
-                    lambda: cfg.lambda,
-                    fixed_dim,
-                };
-                let mut q_local = problem.objective(row);
-                for _ in 0..cfg.inner_steps {
-                    problem.gradient(row, grad);
-                    if cfg.line_search {
-                        match armijo_step(row, grad, q_local, &problem, ls, candidate) {
-                            StepOutcome::Accepted { q_new, .. } => q_local = q_new,
-                            StepOutcome::Rejected | StepOutcome::Stationary => break,
-                        }
-                    } else {
-                        q_local = fixed_step(row, grad, cfg.fixed_step, &problem, candidate);
-                    }
-                }
+            || ThreadState {
+                scratch: RowScratch::new(k),
+                counts: SearchCounts::default(),
+                total: &total,
             },
+            |state, (e, row)| half.update_row(e, row, &mut state.scratch, &mut state.counts),
         );
+    total
+        .into_inner()
+        .expect("a panicking row update propagates before this point")
 }
 
 /// Fits OCuLaR with data-parallel half-sweeps. Same configuration, same
-/// semantics and (given the same seed) the same model as
-/// [`ocular_core::fit`] — only faster on multi-core hosts.
+/// semantics and (given the same seed) the same model and training
+/// history counts as [`ocular_core::fit`] — only faster on multi-core
+/// hosts.
 ///
 /// `threads`: `None` uses rayon's global pool; `Some(n)` builds a dedicated
 /// pool (used by the Figure 8 harness to emulate "CPU" = 1 thread vs
@@ -93,73 +69,14 @@ fn parallel_sweep_side(
 /// # Panics
 /// Panics if `cfg` fails validation or the thread pool cannot be built.
 pub fn fit_parallel(data: &Dataset, cfg: &OcularConfig, threads: Option<usize>) -> TrainResult {
-    crate::with_threads(threads, || fit_parallel_inner(data, cfg))
-}
-
-fn fit_parallel_inner(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
-    if let Err(msg) = cfg.validate() {
-        panic!("invalid OcularConfig: {msg}");
-    }
-    let r: &CsrMatrix = data.matrix();
-    let (user_frozen, _, item_frozen, _) = bias_layout(cfg);
-    let (mut user_factors, mut item_factors) = initial_factors(r, cfg);
-    let rt = data.item_view();
-    let weights = user_weights(r, cfg.weighting);
-    // one reusable column-sum buffer for the whole run (no per-sweep churn)
-    let mut sum_buf: Vec<f64> = Vec::with_capacity(cfg.k_total());
-    let ls = LineSearch {
-        sigma: cfg.sigma,
-        beta: cfg.beta,
-        max_backtracks: cfg.max_backtracks,
-    };
-    let mut q = objective_parts(r, &user_factors, &item_factors, cfg.lambda, &weights);
-    let mut history = TrainingHistory {
-        objective: vec![q],
-        sweep_seconds: Vec::new(),
-        converged: false,
-    };
-    for _ in 0..cfg.max_iters {
-        let t0 = Instant::now();
-        parallel_sweep_side(
-            &mut item_factors,
-            &user_factors,
-            rt,
-            &SideWeights::PerCounterpart(&weights),
-            cfg,
-            item_frozen,
-            &ls,
-            &mut sum_buf,
-        );
-        parallel_sweep_side(
-            &mut user_factors,
-            &item_factors,
-            r,
-            &SideWeights::OwnWeight(&weights),
-            cfg,
-            user_frozen,
-            &ls,
-            &mut sum_buf,
-        );
-        history.sweep_seconds.push(t0.elapsed().as_secs_f64());
-        let q_new = objective_parts(r, &user_factors, &item_factors, cfg.lambda, &weights);
-        history.objective.push(q_new);
-        let decrease = q - q_new;
-        q = q_new;
-        if cfg.line_search && decrease <= cfg.tol * q.abs().max(1.0) {
-            history.converged = true;
-            break;
-        }
-    }
-    TrainResult {
-        model: FactorModel::new(user_factors, item_factors, cfg.bias),
-        history,
-    }
+    crate::with_threads(threads, || fit_with(data, cfg, parallel_sweep_side))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ocular_core::fit;
+    use ocular_sparse::CsrMatrix;
 
     fn blocks(n: usize) -> Dataset {
         let mut pairs = Vec::new();
@@ -193,6 +110,7 @@ mod tests {
             "per-row parallelism must not change the math"
         );
         assert_eq!(seq.history.objective, par.history.objective);
+        assert_eq!(seq.history.line_search, par.history.line_search);
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct ServeConfig {
     /// Solver budget for cold-start fold-in (projected-gradient steps).
     pub foldin_steps: usize,
     /// Training hyper-parameters reused by the OCuLaR cold-start fold-in
-    /// solve (only `lambda`, `sigma`, `beta`, `max_backtracks` matter
-    /// here).
+    /// solve (only `lambda`, `sigma`, `beta`, `max_backtracks` and `tol`
+    /// matter here).
     pub foldin: OcularConfig,
 }
 

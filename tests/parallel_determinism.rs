@@ -1,7 +1,7 @@
 //! Guard for the parallel trainer's determinism: per-row data parallelism
 //! must be *exact* — the fitted model, and therefore every downstream
 //! metric, must be bit-identical no matter how many threads run the
-//! half-sweeps. This is the property that lets Figure 8-style speedups be
+//! half-sweeps, and so must the line-search counts in the training history. This is the property that lets Figure 8-style speedups be
 //! claimed without an accuracy asterisk.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
@@ -37,15 +37,23 @@ fn recall_identical_across_thread_counts() {
 
     let mut models = Vec::new();
     let mut reports = Vec::new();
+    let mut searches = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let result = fit_parallel(&split.train, &cfg, Some(threads));
         let report = ocular::eval::protocol::evaluate(&result.model, &split.train, &split.test, 20);
         models.push((threads, result.model));
         reports.push((threads, report));
+        searches.push(result.history.line_search);
     }
 
     let (_, ref_model) = &models[0];
     let (_, ref_report) = &reports[0];
+    for (threads, search) in [1usize, 2, 4, 8].iter().zip(&searches).skip(1) {
+        assert_eq!(
+            search, &searches[0],
+            "{threads}-thread line-search counts must match the 1-thread run"
+        );
+    }
     for ((threads, model), (_, report)) in models.iter().zip(&reports).skip(1) {
         assert_eq!(
             model, ref_model,
@@ -61,6 +69,10 @@ fn recall_identical_across_thread_counts() {
     assert_eq!(
         &seq.model, ref_model,
         "parallel must be a drop-in for fit()"
+    );
+    assert_eq!(
+        seq.history.line_search, searches[0],
+        "both trainers must count the line search identically"
     );
 
     // sanity: the guarded model is actually good, not degenerately equal
