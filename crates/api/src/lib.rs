@@ -13,7 +13,7 @@
 //!   └── Recommender          top-M via the shared ocular_linalg::topk kernel
 //!         ├── FoldIn         request-time cold start (optional capability)
 //!         ├── Explain        co-cluster provenance (optional, OCuLaR-only)
-//!         └── SnapshotModel  kind-tagged serialize / deserialize
+//!         └── SnapshotModel  kind-tagged v3 codec + text import
 //!               Model = Recommender + SnapshotModel
 //! ```
 //!

@@ -5,7 +5,7 @@
 //!   └── Recommender          top-M lists via the shared bounded-heap kernel
 //!         ├── FoldIn         request-time cold start from a basket (optional)
 //!         ├── Explain        co-cluster provenance (optional, OCuLaR-only)
-//!         └── SnapshotModel  kind-tagged serialize / deserialize (optional)
+//!         └── SnapshotModel  kind-tagged v3 codec + text import (optional)
 //!               Model = Recommender + SnapshotModel (what serving loads)
 //! ```
 //!
@@ -19,7 +19,7 @@ use crate::binary::{SectionReader, SectionWriter};
 use crate::error::OcularError;
 use ocular_linalg::topk::top_k_excluding;
 use ocular_sparse::CsrMatrix;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// One ranked item with the score its model assigned. For OCuLaR the score
 /// is a probability; for the baselines it is a model score whose scale is
@@ -171,36 +171,34 @@ pub trait Explain: ScoreItems {
 /// carry *any* model kind and the loader dispatches on the tag instead of
 /// guessing at bytes.
 ///
-/// Two codecs per kind, same kind tag, same bitwise content:
+/// Every kind writes one codec and reads two:
 ///
-/// * **text** ([`SnapshotModel::save_model`] / [`SnapshotModel::load_model`])
-///   — the line-oriented v1/v2 envelope payloads, human-inspectable and
-///   the compatibility format old snapshots keep loading through;
 /// * **binary v3** ([`SnapshotModel::write_sections`] /
 ///   [`SnapshotModel::read_sections`]) — typed sections in the mmap-able
-///   [`crate::binary`] container. `read_sections` should **borrow** its
-///   large payloads from the reader's byte region
-///   ([`SectionReader::f64s`] and friends return region-backed buffers),
-///   so loading a binary snapshot is allocation-free for the bulk data.
+///   [`crate::binary`] container, the only format anything writes.
+///   `read_sections` should **borrow** its large payloads from the
+///   reader's byte region ([`SectionReader::f64s`] and friends return
+///   region-backed buffers), so loading a binary snapshot is
+///   allocation-free for the bulk data;
+/// * **text import** ([`SnapshotModel::load_model`]) — parses the
+///   line-oriented payload of a legacy v1/v2 text snapshot, so old
+///   snapshots keep loading and can be re-encoded as v3.
 pub trait SnapshotModel: ScoreItems {
     /// The stable kind tag written into snapshot envelopes (e.g. `"wals"`).
     /// Lowercase, no spaces; distinct per implementing type.
     fn kind(&self) -> &'static str;
 
-    /// Writes the model payload. The format must be self-delimiting (the
-    /// snapshot envelope appends a footer right after it).
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()>;
-
-    /// Reads a payload written by [`SnapshotModel::save_model`], validating
-    /// shape and values.
+    /// Imports the kind's legacy text payload (self-delimiting: the
+    /// envelope's trailing sections follow it), validating shape and
+    /// values.
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError>
     where
         Self: Sized;
 
     /// Writes the model's payload as typed sections of a v3 binary
     /// snapshot. Must round-trip bitwise against
-    /// [`SnapshotModel::read_sections`] *and* agree with the text codec
-    /// (the conformance suite asserts both).
+    /// [`SnapshotModel::read_sections`] (the conformance suite asserts
+    /// it for every kind).
     fn write_sections(&self, w: &mut SectionWriter) -> Result<(), OcularError>;
 
     /// Reads a payload written by [`SnapshotModel::write_sections`],

@@ -111,6 +111,16 @@ pub fn all_baselines(
         .collect()
 }
 
+/// Encodes `m` as v3 sections and decodes them back — the codec round
+/// trip each kind's persistence test asserts on.
+#[cfg(test)]
+pub(crate) fn v3_round_trip<M: ocular_api::SnapshotModel>(m: &M) -> M {
+    let mut w = ocular_api::SectionWriter::new(m.kind());
+    m.write_sections(&mut w).unwrap();
+    let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+    M::read_sections(&ocular_api::SectionReader::open(region).unwrap()).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,10 +16,10 @@
 //! implementation does not precompute — its `as_fold_in` stays `None`.
 
 use crate::similarity::{top_k_neighbors, Neighbor};
-use ocular_api::textio::{bad, read_csr, read_line, write_csr};
+use ocular_api::textio::{bad, read_csr, read_line};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_sparse::{CsrMatrix, Dataset};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Configuration for both kNN models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,19 +34,7 @@ impl Default for KnnConfig {
     }
 }
 
-/// Writes neighbour lists, one `len idx:sim …` line per entity.
-fn write_neighbors(w: &mut dyn Write, lists: &[Vec<Neighbor>]) -> std::io::Result<()> {
-    for list in lists {
-        write!(w, "{}", list.len())?;
-        for n in list {
-            write!(w, " {}:{:e}", n.index, n.similarity)?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Reads `n` neighbour-list lines written by [`write_neighbors`].
+/// Reads `n` neighbour-list lines, one `len idx:sim …` line per entity.
 fn read_neighbors(r: &mut dyn BufRead, n: usize) -> Result<Vec<Vec<Neighbor>>, OcularError> {
     let mut lists = Vec::with_capacity(n);
     for e in 0..n {
@@ -249,12 +237,6 @@ impl SnapshotModel for UserKnn {
         Self::KIND
     }
 
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "user-knn-model v1 {}", self.neighbors.len())?;
-        write_neighbors(w, &self.neighbors)?;
-        write_csr(w, &self.r)
-    }
-
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
         let header = read_line(r)?;
         let f: Vec<&str> = header.split_whitespace().collect();
@@ -370,12 +352,6 @@ impl FoldIn for ItemKnn {
 impl SnapshotModel for ItemKnn {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "item-knn-model v1 {}", self.neighbors.len())?;
-        write_neighbors(w, &self.neighbors)?;
-        write_csr(w, &self.r)
     }
 
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
@@ -528,50 +504,35 @@ mod tests {
     fn snapshot_roundtrips_bitwise_for_both_variants() {
         let r = blocks();
         let user_model = UserKnn::fit(&r, &KnnConfig { k: 2 });
-        let mut buf: Vec<u8> = Vec::new();
-        user_model.save_model(&mut buf).unwrap();
-        assert_eq!(
-            <UserKnn as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap(),
-            user_model
-        );
+        assert_eq!(crate::v3_round_trip(&user_model), user_model);
         let item_model = ItemKnn::fit(&r, &KnnConfig { k: 2 });
-        buf.clear();
-        item_model.save_model(&mut buf).unwrap();
-        assert_eq!(
-            <ItemKnn as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap(),
-            item_model
-        );
-        // payloads are kind-tagged: loading one as the other is rejected
-        assert!(<UserKnn as SnapshotModel>::load_model(&mut buf.as_slice()).is_err());
+        assert_eq!(crate::v3_round_trip(&item_model), item_model);
+        // text payloads are kind-tagged: importing one as the other is
+        // rejected
+        assert!(<ItemKnn as SnapshotModel>::load_model(&mut ITEM_KNN_TEXT.as_bytes()).is_ok());
+        assert!(<UserKnn as SnapshotModel>::load_model(&mut ITEM_KNN_TEXT.as_bytes()).is_err());
     }
+
+    /// A two-item `item-knn-model v1` text payload, as the pre-v3 writer
+    /// rendered it.
+    const ITEM_KNN_TEXT: &str = "item-knn-model v1 2\n\
+        1 1:5e-1\n\
+        1 0:5e-1\n\
+        interactions 2 2\n\
+        2 0 1\n\
+        1 0\n";
 
     #[test]
     fn corrupt_neighbour_payloads_rejected_at_load() {
-        let r = blocks();
-        let model = ItemKnn::fit(&r, &KnnConfig { k: 2 });
-        let mut buf: Vec<u8> = Vec::new();
-        model.save_model(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
         // out-of-bounds neighbour index: must fail at load, not panic when
         // a request later indexes the score buffer
-        let first_entry_pos = text.find(" 1:").or_else(|| text.find(" 0:")).unwrap();
-        let tampered = format!(
-            "{}{}{}",
-            &text[..first_entry_pos],
-            " 999:",
-            &text[first_entry_pos + 3..]
-        );
+        let tampered = ITEM_KNN_TEXT.replacen(" 1:", " 999:", 1);
         assert!(matches!(
             <ItemKnn as SnapshotModel>::load_model(&mut tampered.as_bytes()),
             Err(OcularError::Corrupt(msg)) if msg.contains("out of bounds")
         ));
         // non-finite similarity: rejected instead of panicking in topk
-        let sim_pos = text.find(':').unwrap();
-        let end = text[sim_pos..]
-            .find([' ', '\n'])
-            .map(|o| sim_pos + o)
-            .unwrap();
-        let tampered = format!("{}:NaN{}", &text[..sim_pos], &text[end..]);
+        let tampered = ITEM_KNN_TEXT.replacen(":5e-1", ":NaN", 1);
         assert!(matches!(
             <ItemKnn as SnapshotModel>::load_model(&mut tampered.as_bytes()),
             Err(OcularError::Corrupt(msg)) if msg.contains("similarity")

@@ -94,8 +94,7 @@ fn run() -> Result<Vec<String>, String> {
     let quant_f64 = field(&serve, "quant.f64.p50_us")?;
     let quant_f32 = field(&serve, "quant.f32.p50_us")?;
     let quant_i8 = field(&serve, "quant.int8.p50_us")?;
-    // snapshot cold-start cost, both formats (the v3 zero-copy claim)
-    let load_text = field(&serve, "snapshot_load.text_seconds")?;
+    // snapshot cold-start cost (the v3 zero-copy claim)
     let load_binary = field(&serve, "snapshot_load.binary_seconds")?;
     // end-to-end TCP serving tier: sustained closed-loop throughput and
     // round-trip latency quantiles from the loadgen run
@@ -137,10 +136,6 @@ fn run() -> Result<Vec<String>, String> {
         fields.push(("quant_f64_p50_us".to_string(), Json::Num(quant_f64)));
         fields.push(("quant_f32_p50_us".to_string(), Json::Num(quant_f32)));
         fields.push(("quant_int8_p50_us".to_string(), Json::Num(quant_i8)));
-        fields.push((
-            "snapshot_load_text_seconds".to_string(),
-            Json::Num(load_text),
-        ));
         fields.push((
             "snapshot_load_binary_seconds".to_string(),
             Json::Num(load_binary),
@@ -243,12 +238,7 @@ fn run() -> Result<Vec<String>, String> {
         quant_i8,
         field(&baseline, "quant_int8_p50_us")?,
     );
-    // snapshot cold-start gates: neither format may regress…
-    check(
-        "snap_text_s",
-        load_text,
-        field(&baseline, "snapshot_load_text_seconds")?,
-    );
+    // snapshot cold-start gate: the v3 load may not regress
     check(
         "snap_binary_s",
         load_binary,
@@ -303,21 +293,6 @@ fn run() -> Result<Vec<String>, String> {
         failures.push(format!(
             "int8 full-catalog p50 ({quant_i8:.1}µs) is not strictly below f32's \
              ({quant_f32:.1}µs)"
-        ));
-    }
-    // …and, machine-independently within the same run, the v3 mmap load
-    // must be *strictly* faster than parsing the text snapshot of the
-    // same model — the zero-copy start-up claim, gated not asserted
-    println!(
-        "bench_gate: bin_vs_text    binary={:10.5}s text={:10.5}s  ({:.0}× faster)",
-        load_binary,
-        load_text,
-        load_text / load_binary
-    );
-    if load_binary >= load_text {
-        failures.push(format!(
-            "binary snapshot load ({load_binary:.5}s) is not strictly below the text path \
-             ({load_text:.5}s)"
         ));
     }
     // sharded-coordinator throughput gates in the same direction as

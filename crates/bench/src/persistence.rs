@@ -1,43 +1,29 @@
 //! Snapshot load-time measurement shared by the `probe` and
-//! `serve_latency` bench bins — the numbers behind the v3 format's
+//! `serve_latency` bench bins — the number behind the v3 format's
 //! "engine start-up is O(1), not a parse" claim, gated in CI by
-//! `bench_gate` (binary must load strictly faster than text on the same
-//! model, and neither may regress against the committed baseline).
+//! `bench_gate` against the committed baseline.
 
-use ocular_serve::{AnySnapshot, SnapshotFormat};
+use ocular_serve::AnySnapshot;
 use ocular_sparse::IdMaps;
 use std::time::Instant;
 
-/// Median wall-clock seconds to load the snapshot from disk in each
-/// format (`(text_seconds, binary_seconds)`), measured over `reps` runs
-/// through the production loader ([`AnySnapshot::load_path`], which
-/// sniffs magic bytes and memory-maps v3 containers).
-pub fn snapshot_load_seconds(snap: &AnySnapshot, ids: Option<&IdMaps>, reps: usize) -> (f64, f64) {
-    let dir = std::env::temp_dir();
-    let stamp = std::process::id();
-    let text_path = dir.join(format!("ocular-bench-{stamp}.v2snap"));
-    let bin_path = dir.join(format!("ocular-bench-{stamp}.v3snap"));
-    snap.save_path(&text_path, ids, SnapshotFormat::Text)
-        .expect("write text snapshot");
-    snap.save_path(&bin_path, ids, SnapshotFormat::Binary)
-        .expect("write binary snapshot");
-
-    let median_load = |path: &std::path::Path| -> f64 {
-        let mut times: Vec<f64> = (0..reps.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                let loaded = AnySnapshot::load_path(path).expect("load snapshot");
-                let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(loaded.0.kind());
-                dt
-            })
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        times[times.len() / 2]
-    };
-    let text_seconds = median_load(&text_path);
-    let binary_seconds = median_load(&bin_path);
-    let _ = std::fs::remove_file(&text_path);
-    let _ = std::fs::remove_file(&bin_path);
-    (text_seconds, binary_seconds)
+/// Median wall-clock seconds to load the snapshot's v3 encoding from
+/// disk, measured over `reps` runs through the production loader
+/// ([`AnySnapshot::load_path_full`], which memory-maps v3 containers).
+pub fn snapshot_load_seconds(snap: &AnySnapshot, ids: Option<&IdMaps>, reps: usize) -> f64 {
+    let path = std::env::temp_dir().join(format!("ocular-bench-{}.v3snap", std::process::id()));
+    let bytes = snap.to_v3_bytes_full(ids, None).expect("encode snapshot");
+    std::fs::write(&path, bytes).expect("write snapshot");
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            let loaded = AnySnapshot::load_path_full(&path).expect("load snapshot");
+            let dt = t0.elapsed().as_secs_f64();
+            std::hint::black_box(loaded.snapshot.kind());
+            dt
+        })
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    times[times.len() / 2]
 }

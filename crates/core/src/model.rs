@@ -1,7 +1,7 @@
 //! The factor model: non-negative co-cluster affiliation vectors.
 
 use ocular_linalg::{ops, Matrix};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Smallest affinity used inside logs/denominators. With non-negative
 /// factors the loss `−log(1 − e^{−p})` is singular at `p = 0`; clamping to
@@ -154,25 +154,10 @@ impl FactorModel {
         }
     }
 
-    /// Serialises the model to a writer in a line-oriented text format
-    /// (`ocular-model v1`). Factors are written in full `f64` precision.
-    pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
-        writeln!(
-            w,
-            "ocular-model v1 {} {} {} {}",
-            self.n_users(),
-            self.n_items(),
-            self.k_total(),
-            u8::from(self.has_bias)
-        )?;
-        for side in [&self.user_factors, &self.item_factors] {
-            ocular_api::textio::write_matrix(&mut w, side)?;
-        }
-        w.flush()
-    }
-
-    /// Loads a model produced by [`FactorModel::save`].
+    /// Imports a model from the legacy line-oriented `ocular-model v1` text
+    /// payload of a v1/v2 text snapshot (header line, then the user and
+    /// item factor rows); the model's only write format is the v3
+    /// container ([`SnapshotModel::write_sections`](ocular_api::SnapshotModel::write_sections)).
     pub fn load<R: BufRead>(r: &mut R) -> std::io::Result<FactorModel> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
         let mut header = String::new();
@@ -282,10 +267,10 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let m = toy();
-        let mut buf: Vec<u8> = Vec::new();
-        m.save(&mut buf).unwrap();
-        let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, m);
+        assert_eq!(crate::recommender::v3_round_trip(&m), m);
+        // the legacy text payload of the same model imports bitwise
+        let text = "ocular-model v1 2 3 2 0\n1e0 0e0\n5e-1 5e-1\n2e0 0e0\n0e0 2e0\n1e0 1e0\n";
+        assert_eq!(FactorModel::load(&mut text.as_bytes()).unwrap(), m);
     }
 
     #[test]

@@ -120,10 +120,6 @@ impl SnapshotModel for FactorModel {
         Self::KIND
     }
 
-    fn save_model(&self, mut w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.save(&mut w)
-    }
-
     fn load_model(mut r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
         FactorModel::load(&mut r).map_err(OcularError::from)
     }
@@ -163,6 +159,16 @@ impl SnapshotModel for FactorModel {
         FactorModel::try_new(user_factors, item_factors, has_bias == 1)
             .map_err(|e| OcularError::Corrupt(e.to_string()))
     }
+}
+
+/// Encodes `m` as v3 sections and decodes them back — the codec round
+/// trip the persistence tests assert on.
+#[cfg(test)]
+pub(crate) fn v3_round_trip(m: &FactorModel) -> FactorModel {
+    let mut w = ocular_api::SectionWriter::new(FactorModel::KIND);
+    m.write_sections(&mut w).unwrap();
+    let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+    FactorModel::read_sections(&ocular_api::SectionReader::open(region).unwrap()).unwrap()
 }
 
 #[cfg(test)]
@@ -259,10 +265,7 @@ mod tests {
     fn snapshot_model_roundtrips() {
         let (model, _) = trained();
         assert_eq!(SnapshotModel::kind(&model), "ocular");
-        let mut buf: Vec<u8> = Vec::new();
-        model.save_model(&mut buf).unwrap();
-        let loaded = <FactorModel as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, model);
+        assert_eq!(v3_round_trip(&model), model);
         assert!(matches!(
             <FactorModel as SnapshotModel>::load_model(&mut "junk".as_bytes()),
             Err(OcularError::Corrupt(_))

@@ -1,5 +1,6 @@
 //! Property-based invariants of the training loop.
 
+use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
 use ocular_core::loss::{objective, objective_naive, user_weights};
 use ocular_core::{fit, FactorModel, OcularConfig, Weighting};
 use ocular_linalg::Matrix;
@@ -96,9 +97,10 @@ proptest! {
     fn save_load_roundtrip_preserves_model(r in arb_matrix(), seed in 0u64..100) {
         let cfg = OcularConfig { k: 2, lambda: 0.2, max_iters: 3, seed, ..Default::default() };
         let model = fit(&r.clone().into(), &cfg).model;
-        let mut buf: Vec<u8> = Vec::new();
-        model.save(&mut buf).unwrap();
-        let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
+        let mut w = SectionWriter::new(FactorModel::KIND);
+        model.write_sections(&mut w).unwrap();
+        let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+        let loaded = FactorModel::read_sections(&SectionReader::open(region).unwrap()).unwrap();
         prop_assert_eq!(loaded, model);
     }
 }

@@ -1,16 +1,15 @@
 //! JSON-lines serving CLI — polymorphic over model kinds.
 //!
-//! Two modes:
+//! Three modes:
 //!
 //! **Train & snapshot** — fit a model on an edge list and write a
-//! kind-tagged serving snapshot:
+//! kind-tagged `ocular-snapshot v3` serving snapshot:
 //!
 //! ```text
 //! serve --train data.tsv --snapshot model.snap \
 //!       [--delta more.tsv]... [--generation 1] \
-//!       [--format text|binary] \
 //!       [--shards 4]                     (also write per-shard v3 files) \
-//!       [--quantize f32|int8]            (ocular + --format binary) \
+//!       [--quantize f32|int8]            (ocular only) \
 //!       [--algo ocular|wals|bpr|user-knn|item-knn|popularity] \
 //!       [--k 8] [--lambda 0.5] [--iters 60] [--seed 0] [--sep '\t'] \
 //!       [--rel 0.5] [--floor 100]        (ocular index build) \
@@ -23,22 +22,35 @@
 //! into its metadata section alongside the source-data watermark
 //! (trained shape + nnz).
 //!
-//! `--format binary` writes the mmap-able `ocular-snapshot v3` container
-//! (`--format text` the v2 text envelope, the default for
-//! compatibility). Serving sniffs the snapshot's magic bytes, so either
-//! format loads transparently — v3 via a zero-copy memory mapping
-//! (start-up cost independent of model size, page cache shared across
-//! serve processes), v1/v2 via the line-oriented parser. The measured
-//! load time is reported on stderr as `snapshot_load_seconds=…`.
+//! The snapshot is always the mmap-able v3 container; `--format binary`
+//! is accepted and changes nothing, any other `--format` is an error
+//! (v1/v2 text snapshots are import-only). Every flag is checked before
+//! the edge list is read, so a malformed value fails at once, naming the
+//! flag, instead of after the fit.
 //!
 //! `--k` is the latent dimensionality for the factor models and the
 //! neighbourhood size for the kNN variants; `--iters` maps to each
 //! fitter's sweep/epoch knob; `--lambda` is each model's own
 //! regularization (defaults differ per algorithm).
 //!
+//! **Inspect** — print what a snapshot holds, read-only, one
+//! `key value` line each: format, kind and model shape, every v3
+//! section's name and byte length, generation and watermark, quantized
+//! dtype and id-map sizes. For a v1/v2 text file it prints what the
+//! import recovered.
+//!
+//! ```text
+//! serve --inspect model.snap
+//! ```
+//!
 //! **Serve** — load a snapshot of *any* kind plus the training
 //! interactions (for owned-item exclusion), read one JSON request per
-//! stdin line, write one JSON response per stdout line, in order:
+//! stdin line, write one JSON response per stdout line, in order. The
+//! snapshot's magic bytes pick the loader: v3 is memory-mapped zero-copy
+//! (start-up cost independent of model size, page cache shared across
+//! serve processes), v1/v2 text is imported through the line-oriented
+//! parser. The measured load time is reported on stderr as
+//! `snapshot_load_seconds=…`.
 //!
 //! ```text
 //! serve --model model.snap --interactions data.tsv \
@@ -113,14 +125,15 @@
 //! unknown external ids) become `{"error": "..."}` without aborting the
 //! stream.
 
-use ocular_api::SnapshotMeta;
+use ocular_api::{SectionReader, SnapshotMeta};
 use ocular_baselines::{Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, UserKnn, Wals, WalsConfig};
+use ocular_bytes::ModelBytes;
 use ocular_core::{fit, OcularConfig};
 use ocular_serve::shard::AnyEngine;
 use ocular_serve::snapshot::ShardedLoad;
 use ocular_serve::{
-    shard_path, AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig,
-    ShardedEngine, Snapshot, SnapshotFormat, WireReply, WireRequest,
+    shard_path, AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request,
+    ServeConfig, ShardedEngine, Snapshot, WireReply, WireRequest,
 };
 use ocular_sparse::io::{append_edge_list, read_edge_list};
 use ocular_sparse::{CsrMatrix, Dataset, IdMaps};
@@ -169,10 +182,16 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// `--key` parsed as `T` if present. A malformed value is an error
+    /// naming the flag, never a silent fallback to the default.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| v.parse().map_err(|_| format!("--{key}: bad value `{v}`")))
+            .transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 
     /// The `--quantize {f32,int8}` flag, when present and well-formed.
@@ -238,121 +257,150 @@ fn align_to_ids(d: Dataset, ids: IdMaps) -> Result<Dataset, String> {
     staged.finish().map_err(|e| e.to_string())
 }
 
+/// What `--train` fits, with every flag already parsed and checked.
+enum Fitter {
+    Ocular {
+        cfg: OcularConfig,
+        index: IndexConfig,
+        quantize: Option<QuantDtype>,
+    },
+    Wals(WalsConfig),
+    Bpr(BprConfig),
+    UserKnn(KnnConfig),
+    ItemKnn(KnnConfig),
+    Popularity,
+}
+
+impl Fitter {
+    fn parse(flags: &Flags) -> Result<Fitter, String> {
+        let algo = flags.get("algo").unwrap_or("ocular");
+        let seed = flags.num("seed", 0u64)?;
+        let quantize = flags.quantize()?;
+        if quantize.is_some() && algo != "ocular" {
+            return Err(format!(
+                "--quantize only applies to --algo ocular (got `{algo}`)"
+            ));
+        }
+        Ok(match algo {
+            "ocular" => {
+                let cfg = OcularConfig {
+                    k: flags.num("k", 8)?,
+                    lambda: flags.num("lambda", 0.5)?,
+                    max_iters: flags.num("iters", 60)?,
+                    seed,
+                    ..Default::default()
+                };
+                cfg.validate()?;
+                let index = IndexConfig {
+                    rel: flags.num("rel", 0.5)?,
+                    floor: flags.num("floor", 100)?,
+                };
+                Fitter::Ocular {
+                    cfg,
+                    index,
+                    quantize,
+                }
+            }
+            "wals" => Fitter::Wals(WalsConfig {
+                k: flags.num("k", 16)?,
+                b: flags.num("b", 0.01)?,
+                lambda: flags.num("lambda", 0.01)?,
+                iters: flags.num("iters", 15)?,
+                seed,
+                ..Default::default()
+            }),
+            "bpr" => Fitter::Bpr(BprConfig {
+                k: flags.num("k", 16)?,
+                lambda: flags.num("lambda", 0.01)?,
+                learning_rate: flags.num("lr", 0.05)?,
+                epochs: flags.num("iters", 30)?,
+                seed,
+                ..Default::default()
+            }),
+            "user-knn" => Fitter::UserKnn(KnnConfig {
+                k: flags.num("k", 50)?,
+            }),
+            "item-knn" => Fitter::ItemKnn(KnnConfig {
+                k: flags.num("k", 50)?,
+            }),
+            "popularity" => Fitter::Popularity,
+            other => {
+                return Err(format!(
+                "--algo must be one of ocular|wals|bpr|user-knn|item-knn|popularity, got `{other}`"
+            ))
+            }
+        })
+    }
+
+    fn fit(self, r: &Dataset) -> Result<AnySnapshot, String> {
+        Ok(match self {
+            Fitter::Ocular {
+                cfg,
+                index,
+                quantize,
+            } => {
+                let mut snap = Snapshot::build(fit(r, &cfg).model, &index);
+                if let Some(dtype) = quantize {
+                    snap = snap.with_quantization(dtype);
+                }
+                AnySnapshot::Ocular(snap)
+            }
+            Fitter::Wals(cfg) => {
+                AnySnapshot::Other(Box::new(Wals::try_fit(r, &cfg).map_err(|e| e.to_string())?))
+            }
+            Fitter::Bpr(cfg) => {
+                AnySnapshot::Other(Box::new(Bpr::try_fit(r, &cfg).map_err(|e| e.to_string())?))
+            }
+            Fitter::UserKnn(cfg) => AnySnapshot::Other(Box::new(UserKnn::fit(r, &cfg))),
+            Fitter::ItemKnn(cfg) => AnySnapshot::Other(Box::new(ItemKnn::fit(r, &cfg))),
+            Fitter::Popularity => AnySnapshot::Other(Box::new(Popularity::fit(r))),
+        })
+    }
+}
+
 fn train_mode(flags: &Flags) -> Result<(), String> {
     let data = flags.get("train").expect("checked by caller");
     let out = flags
         .get("snapshot")
         .ok_or("--train requires --snapshot <path>")?;
+    // v3 is the only write format; `--format binary` names it explicitly
+    match flags.get("format") {
+        None | Some("binary") => {}
+        Some(other) => {
+            return Err(format!(
+                "--format `{other}`: text snapshots are import-only; --train always \
+                 writes the v3 container (`--format binary`)"
+            ))
+        }
+    }
+    let fitter = Fitter::parse(flags)?;
+    let generation = flags.num("generation", 1u64)?;
+    let n_shards = flags.num("shards", 1usize)?;
+    if n_shards == 0 {
+        return Err("--shards must be a positive shard count".into());
+    }
     let sep = flags.get("sep").unwrap_or("\t");
-    let algo = flags.get("algo").unwrap_or("ocular");
     let r = load_dataset(flags, data, sep)?;
-    let seed = flags.num("seed", 0u64);
-    let quantize = flags.quantize()?;
-    if quantize.is_some() && algo != "ocular" {
-        return Err(format!(
-            "--quantize only applies to --algo ocular (got `{algo}`)"
-        ));
-    }
-    if quantize.is_some() && flags.get("format").unwrap_or("text") != "binary" {
-        return Err(
-            "--quantize requires --format binary (the text envelope has no quantized sections)"
-                .into(),
-        );
-    }
     let t0 = std::time::Instant::now();
-    let snapshot: AnySnapshot = match algo {
-        "ocular" => {
-            let cfg = OcularConfig {
-                k: flags.num("k", 8),
-                lambda: flags.num("lambda", 0.5),
-                max_iters: flags.num("iters", 60),
-                seed,
-                ..Default::default()
-            };
-            let model = fit(&r, &cfg).model;
-            let index_cfg = ocular_serve::IndexConfig {
-                rel: flags.num("rel", 0.5),
-                floor: flags.num("floor", 100),
-            };
-            let mut snap = Snapshot::build(model, &index_cfg);
-            if let Some(dtype) = quantize {
-                snap = snap.with_quantization(dtype);
-            }
-            AnySnapshot::Ocular(snap)
-        }
-        "wals" => {
-            let cfg = WalsConfig {
-                k: flags.num("k", 16),
-                b: flags.num("b", 0.01),
-                lambda: flags.num("lambda", 0.01),
-                iters: flags.num("iters", 15),
-                seed,
-                ..Default::default()
-            };
-            AnySnapshot::Other(Box::new(
-                Wals::try_fit(&r, &cfg).map_err(|e| e.to_string())?,
-            ))
-        }
-        "bpr" => {
-            let cfg = BprConfig {
-                k: flags.num("k", 16),
-                lambda: flags.num("lambda", 0.01),
-                learning_rate: flags.num("lr", 0.05),
-                epochs: flags.num("iters", 30),
-                seed,
-                ..Default::default()
-            };
-            AnySnapshot::Other(Box::new(Bpr::try_fit(&r, &cfg).map_err(|e| e.to_string())?))
-        }
-        "user-knn" => {
-            let cfg = KnnConfig {
-                k: flags.num("k", 50),
-            };
-            AnySnapshot::Other(Box::new(UserKnn::fit(&r, &cfg)))
-        }
-        "item-knn" => {
-            let cfg = KnnConfig {
-                k: flags.num("k", 50),
-            };
-            AnySnapshot::Other(Box::new(ItemKnn::fit(&r, &cfg)))
-        }
-        "popularity" => AnySnapshot::Other(Box::new(Popularity::fit(&r))),
-        other => {
-            return Err(format!(
-                "--algo must be one of ocular|wals|bpr|user-knn|item-knn|popularity, got `{other}`"
-            ))
-        }
-    };
-    let format = match flags.get("format").unwrap_or("text") {
-        "text" => SnapshotFormat::Text,
-        "binary" => SnapshotFormat::Binary,
-        other => {
-            return Err(format!(
-                "--format must be `text` or `binary`, got `{other}`"
-            ))
-        }
-    };
+    let snapshot = fitter.fit(&r)?;
     // Every trained snapshot carries its deployment generation plus the
     // source-data watermark (shape + nnz it was trained on) — what the
     // hot-swap tier and `/stats` report, and what lets an operator check
     // a snapshot against the log it is about to serve.
     let meta = SnapshotMeta {
-        generation: flags.num("generation", 1u64),
+        generation,
         n_users: r.n_users() as u64,
         n_items: r.n_items() as u64,
         nnz: r.nnz() as u64,
     };
-    snapshot
-        .save_path_full(std::path::Path::new(out), r.ids(), Some(&meta), format)
-        .map_err(|e| format!("write {out}: {e}"))?;
+    let bytes = snapshot
+        .to_v3_bytes_full(r.ids(), Some(&meta))
+        .map_err(|e| format!("encode {out}: {e}"))?;
+    std::fs::write(out, bytes).map_err(|e| format!("write {out}: {e}"))?;
     // `--shards N` additionally writes N standalone per-shard v3 section
     // sets next to the base snapshot (user rows hash-partitioned,
     // item-side state replicated), so each serve worker mmaps only its
     // own shard
-    let n_shards: usize = flags.num("shards", 1);
-    if n_shards == 0 {
-        return Err("--shards must be a positive shard count".into());
-    }
     if n_shards > 1 {
         let paths = snapshot
             .save_path_sharded(std::path::Path::new(out), r.ids(), Some(&meta), n_shards)
@@ -364,7 +412,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
         );
     }
     eprintln!(
-        "trained {} gen={} on {}×{} (nnz={}) in {:.2}s → {out} ({format:?} format, id maps embedded)",
+        "trained {} gen={} on {}×{} (nnz={}) in {:.2}s → {out} (v3, id maps embedded)",
         snapshot.kind(),
         meta.generation,
         r.n_users(),
@@ -375,12 +423,61 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// `--inspect`: prints what a snapshot file holds, one `key value` line
+/// each, without building an engine. v3 containers also list their
+/// sections; text files print what [`AnySnapshot::import_text`]
+/// recovered.
+fn inspect_mode(path: &str) -> Result<(), String> {
+    let p = std::path::Path::new(path);
+    let err = |e: ocular_api::OcularError| format!("inspect {path}: {e}");
+    let loaded = AnySnapshot::load_path_full(p).map_err(err)?;
+    // a text file fails the v3 open; a v3 one was validated by the load
+    let v3 = SectionReader::open(ModelBytes::map_file(p).map_err(|e| err(e.into()))?).ok();
+    let format = if v3.is_some() {
+        "v3"
+    } else {
+        "text (import-only)"
+    };
+    println!("format {format}");
+    println!("kind {}", loaded.snapshot.kind());
+    match &loaded.snapshot {
+        AnySnapshot::Ocular(s) => {
+            println!("users {}", s.model.n_users());
+            println!("items {}", s.model.n_items());
+            println!("clusters {}", s.model.n_clusters());
+            let quant = s.quant.as_ref().map_or("none", |q| q.dtype().name());
+            println!("quant {quant}");
+        }
+        AnySnapshot::Other(m) => {
+            println!("users {}", m.n_users());
+            println!("items {}", m.n_items());
+        }
+    }
+    if let Some(r) = &v3 {
+        for name in r.section_names() {
+            println!("section {name} {}", r.bytes(name).map_err(err)?.len());
+        }
+    }
+    match loaded.meta {
+        Some(m) => {
+            println!("generation {}", m.generation);
+            println!("watermark {} {} {}", m.n_users, m.n_items, m.nnz);
+        }
+        None => println!("generation none"),
+    }
+    match loaded.ids {
+        Some(ids) => println!("id_maps {} {}", ids.n_users(), ids.n_items()),
+        None => println!("id_maps none"),
+    }
+    Ok(())
+}
+
 /// The serving knobs shared by every engine arity.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     let candidates = match flags.get("mode").unwrap_or("clusters") {
         "full" => CandidatePolicy::FullCatalog,
         "clusters" => CandidatePolicy::Clusters {
-            min_candidates: flags.num("min-candidates", 50),
+            min_candidates: flags.num("min-candidates", 50)?,
         },
         other => {
             return Err(format!(
@@ -389,13 +486,13 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
         }
     };
     Ok(ServeConfig {
-        default_m: flags.num("m", 10),
+        default_m: flags.num("m", 10)?,
         candidates,
         // cold-start fold-in solves with the regularization the model was
         // trained with — the snapshot does not carry it, so `--lambda` here
         // must match the training run (both default to 0.5)
         foldin: OcularConfig {
-            lambda: flags.num("lambda", 0.5),
+            lambda: flags.num("lambda", 0.5)?,
             ..Default::default()
         },
         ..Default::default()
@@ -438,7 +535,7 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<AnyEngine, Strin
         .get("interactions")
         .ok_or("serving requires --interactions <edge list> (owned-item exclusion)")?;
     let sep = flags.get("sep").unwrap_or("\t");
-    let n_shards: usize = flags.num("shards", 1);
+    let n_shards: usize = flags.num("shards", 1)?;
     if n_shards == 0 {
         return Err("--shards must be a positive shard count".into());
     }
@@ -540,8 +637,8 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<AnyEngine, Strin
 /// object and the stream keeps going.
 fn serve_mode(flags: &Flags) -> Result<(), String> {
     let engine = build_engine(flags, 0)?;
-    let threads = flags.get("threads").and_then(|v| v.parse().ok());
-    let batch_size: usize = flags.num("batch", 256).max(1);
+    let threads = flags.opt("threads")?;
+    let batch_size: usize = flags.num("batch", 256)?.max(1);
 
     let stdin = std::io::stdin();
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -606,10 +703,10 @@ fn listen_mode(flags: &Flags, addr: &str) -> Result<(), String> {
         }),
     ));
     let cfg = ServerConfig {
-        queue_cap: flags.num("queue-cap", 1024),
-        batch_max: flags.num("batch", 256usize).max(1),
-        workers: flags.num("threads", 1usize).max(1),
-        max_connections: flags.num("max-connections", 1024),
+        queue_cap: flags.num("queue-cap", 1024)?,
+        batch_max: flags.num("batch", 256usize)?.max(1),
+        workers: flags.num("threads", 1usize)?.max(1),
+        max_connections: flags.num("max-connections", 1024)?,
         handle_signals: true,
     };
     let server = Server::bind(swap, addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -626,6 +723,8 @@ fn main() -> ExitCode {
     let flags = Flags::parse();
     let result = if flags.get("train").is_some() {
         train_mode(&flags)
+    } else if let Some(path) = flags.get("inspect") {
+        inspect_mode(path)
     } else if let Some(addr) = flags.get("listen") {
         if flags.get("model").is_some() {
             listen_mode(&flags, addr)
@@ -635,7 +734,7 @@ fn main() -> ExitCode {
     } else if flags.get("model").is_some() {
         serve_mode(&flags)
     } else {
-        Err("usage: serve --train <edges> --snapshot <out> | serve --model <snap> --interactions <edges> [--listen <addr>]  (see crate docs)".into())
+        Err("usage: serve --train <edges> --snapshot <out> | serve --inspect <snap> | serve --model <snap> --interactions <edges> [--listen <addr>]  (see crate docs)".into())
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -138,7 +138,7 @@ impl ClusterIndex {
         }
     }
 
-    /// Assembles an index from raw parts (the text snapshot loader).
+    /// Assembles an index from raw parts (the text snapshot import).
     /// Validates that `rel` is in range and every list is strictly
     /// ascending and in-bounds (via [`ClusterIndex::from_csr`], which
     /// checks the packed layout).

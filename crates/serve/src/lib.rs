@@ -9,16 +9,15 @@
 //! ## What serving adds over batch evaluation
 //!
 //! * **Snapshots** ([`snapshot`]) — versioned, **kind-tagged** on-disk
-//!   artifacts with truncation/corruption detection, in two formats:
-//!   the line-oriented text envelope (`ocular-snapshot v2 <kind>`) and
-//!   the **mmap-able binary container** (`ocular-snapshot v3`,
-//!   [`SnapshotFormat::Binary`]) whose factor matrices, cluster-index
-//!   CSR and id-map tables are **borrowed zero-copy** from the mapped
-//!   file at engine start. Every model kind in the workspace zoo
-//!   (`ocular`, `wals`, `bpr`, `user-knn`, `item-knn`, `popularity`)
-//!   snapshots through [`ocular_api::SnapshotModel`] and loads back
-//!   through [`AnySnapshot`] (magic-byte sniffing picks the codec);
-//!   legacy v1 OCuLaR snapshots still load.
+//!   artifacts with truncation/corruption detection, written in one
+//!   format: the **mmap-able binary container** (`ocular-snapshot v3`)
+//!   whose factor matrices, cluster-index CSR and id-map tables are
+//!   **borrowed zero-copy** from the mapped file at engine start. Every
+//!   model kind in the workspace zoo (`ocular`, `wals`, `bpr`,
+//!   `user-knn`, `item-knn`, `popularity`) encodes through
+//!   [`ocular_api::SnapshotModel`] and loads back through
+//!   [`AnySnapshot`]; legacy v1/v2 text snapshots are import-only
+//!   ([`AnySnapshot::import_text`], picked by magic-byte sniffing).
 //! * **Candidate generation** ([`index`]) — per-cluster inverted item
 //!   lists built once at load; a request scores only items reachable from
 //!   the requester's co-clusters, with a full-catalog fallback knob
@@ -37,7 +36,8 @@
 //!   thread count.
 //! * **A CLI** (`serve` binary) — JSON-lines requests on stdin, JSON-lines
 //!   responses on stdout, plus a `--train` mode that fits a model from an
-//!   edge list and writes a snapshot. See the README's *Serving* section.
+//!   edge list and writes a v3 snapshot, and `--inspect` to print what a
+//!   snapshot holds. See the README's *Serving* section.
 //!
 //! ## Example
 //!
@@ -77,8 +77,7 @@ pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};
 pub use shard::{AnyEngine, ShardStat, ShardedEngine};
 pub use snapshot::{
-    shard_path, AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, SnapshotFormat, SnapshotShard,
-    OCULAR_KIND,
+    shard_path, AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, SnapshotShard, OCULAR_KIND,
 };
 // re-exported so CLI/transport layers name the quantized dtypes without a
 // direct linalg dependency

@@ -1,109 +1,78 @@
-//! Versioned serving snapshots — kind-tagged, polymorphic over model
-//! kinds, in two formats.
+//! Versioned serving snapshots — kind-tagged and polymorphic over model
+//! kinds.
 //!
-//! A snapshot is what training ships to the serving tier. Two on-disk
-//! representations carry identical bit content:
+//! A snapshot is what training ships to the serving tier, and the one
+//! format the workspace writes is the **v3 binary container**
+//! ([`ocular_api::binary`]): magic + kind tag + 8-aligned little-endian
+//! sections + trailing checksum. [`AnySnapshot::to_v3_bytes_full`]
+//! encodes one; [`AnySnapshot::load_path_full`] memory-maps a file and
+//! the loaded `FactorModel` / [`ClusterIndex`] / [`IdMaps`] **borrow**
+//! their large buffers from the mapping ([`AnySnapshot::load_v3_full`]),
+//! so engine start-up allocates nothing per payload and N serve
+//! processes share one page cache.
 //!
-//! * the **v3 binary container** ([`ocular_api::binary`]) — magic +
-//!   kind tag + 8-aligned little-endian sections + trailing checksum.
-//!   [`AnySnapshot::load_path`] memory-maps it and the loaded
-//!   `FactorModel` / [`ClusterIndex`] / [`IdMaps`] **borrow** their
-//!   large buffers from the mapping ([`AnySnapshot::load_v3`]), so
-//!   engine start-up allocates nothing per payload and N serve
-//!   processes share one page cache;
-//! * the **v2 text envelope** below — human-inspectable, and the format
-//!   every pre-v3 snapshot is stored in.
+//! Besides each kind's own sections ([`SnapshotModel::write_sections`]),
+//! a container optionally carries the training
+//! [`Dataset`](ocular_sparse::Dataset)'s external↔internal id tables (so
+//! requests addressed by external ids resolve without the raw
+//! interaction file), the live-refresh metadata (generation + source-data
+//! watermark, [`SnapshotMeta`]), and for `kind = ocular` the co-cluster
+//! candidate index plus an optional quantized copy of the item factors.
 //!
-//! [`AnySnapshot::load_path`] sniffs the magic bytes, so both load
-//! transparently. The **v2** envelope tags the payload with its model
-//! kind, so one serving binary loads and serves *any* model in the
-//! workspace zoo:
+//! ## Importing v1/v2 text snapshots
+//!
+//! Snapshots written before v3 are line-oriented text, and they are
+//! **import-only**: [`AnySnapshot::import_text`] parses them (and
+//! [`AnySnapshot::load_path_full`] takes that path whenever a file does
+//! not start with the v3 magic), but nothing in the workspace writes
+//! them — re-encode an import with [`AnySnapshot::to_v3_bytes_full`] to
+//! migrate it. The envelope is
 //!
 //! ```text
-//! ocular-snapshot v2 <kind>
+//! ocular-snapshot v2 <kind>           (v1: `ocular-snapshot v1`, kind ocular)
 //! <kind-specific model payload, self-delimiting>
 //! [cocluster-index v1 <n_clusters> <n_items> <rel>      (kind = ocular only)
 //!  <n_clusters lines: "<len> <ascending item ids>">]
+//! [snapshot-meta v1 <generation> <n_users> <n_items> <nnz>   (optional)]
 //! [id-maps v1 <n_users> <n_items>                       (optional)
 //!  <n_users external user ids, one line>
 //!  <n_items external item ids, one line>]
 //! ocular-snapshot end
 //! ```
 //!
-//! The optional `id-maps` section carries the training
-//! [`Dataset`](ocular_sparse::Dataset)'s external↔internal id tables, so
-//! the serving tier can answer requests addressed by external ids without
-//! re-deriving the compaction from the raw interaction file — the
-//! snapshot and the dataset agree on the id space by construction. Write
-//! it with [`AnySnapshot::save_with_ids`]; [`AnySnapshot::load_with_ids`]
-//! returns it alongside the model. Snapshots without the section (all
-//! pre-existing ones) still load.
-//!
-//! For `kind = ocular` the payload is the `ocular-model v1` text format
-//! plus the co-cluster candidate-generation index (built at snapshot time
-//! so an engine can come up without re-deriving the inverted lists). For
-//! the baselines the payload is each model's
-//! [`SnapshotModel`] format (`wals-model v1`, `bpr-model v1`, …).
-//!
-//! **v1 snapshots still load**: the v1 envelope (`ocular-snapshot v1`) is
-//! the OCuLaR-only predecessor with a byte-identical body, and both
-//! [`Snapshot::load`] and [`AnySnapshot::load`] accept it.
-//!
-//! The trailing sentinel makes truncation detectable: a snapshot cut off
-//! at any point — mid-factors, mid-index, or missing the last line — is
-//! rejected instead of mis-loading.
+//! where each kind's payload is parsed by its
+//! [`SnapshotModel::load_model`] (`ocular-model v1`, `wals-model v1`, …).
+//! The trailing sentinel makes truncation detectable: a file cut off
+//! anywhere before it is rejected instead of mis-loading. `serve
+//! --inspect` prints what a snapshot of either era holds.
 
 use crate::index::{ClusterIndex, IndexConfig};
 use ocular_api::binary::{is_v3, SectionReader, SectionWriter, SnapshotMeta};
-use ocular_api::textio;
+use ocular_api::textio::{bad, read_line};
 use ocular_api::{Model, OcularError, SnapshotModel};
 use ocular_baselines::{Bpr, ItemKnn, Popularity, UserKnn, Wals};
 use ocular_bytes::{shard_of_key, ModelBytes};
 use ocular_core::FactorModel;
 use ocular_linalg::{Matrix, QuantDtype, QuantizedFactors};
 use ocular_sparse::{IdMaps, RawIdTable};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Read, Seek};
 use std::path::{Path, PathBuf};
 
-/// Magic first line of the legacy (OCuLaR-only) snapshot envelope.
+/// Magic first line of the legacy (OCuLaR-only) v1 text envelope.
 const V1_HEADER: &str = "ocular-snapshot v1";
-/// Prefix of the kind-tagged v2 envelope header.
+/// Prefix of the kind-tagged v2 text envelope header.
 const V2_PREFIX: &str = "ocular-snapshot v2";
-/// Magic line opening the index section.
+/// Magic line opening the text index section.
 const INDEX_HEADER: &str = "cocluster-index v1";
-/// Magic line opening the optional external-id-maps section.
+/// Magic line opening the optional text external-id-maps section.
 const IDS_HEADER: &str = "id-maps v1";
-/// Magic line opening the optional live-refresh metadata section
-/// (generation + source-data watermark; see
-/// [`ocular_api::binary::SnapshotMeta`]).
+/// Magic line opening the optional text live-refresh metadata section.
 const META_HEADER: &str = "snapshot-meta v1";
-/// Trailing sentinel proving the snapshot was written to completion.
+/// Trailing sentinel proving a text snapshot was written to completion.
 const FOOTER: &str = "ocular-snapshot end";
 /// The kind tag of OCuLaR snapshots (canonically defined on
-/// [`FactorModel::KIND`], mirrored here for envelope dispatch).
+/// [`FactorModel::KIND`], mirrored here for dispatch).
 pub const OCULAR_KIND: &str = FactorModel::KIND;
-
-fn bad(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-/// [`textio::read_line`] adapted to the `io::Result` the text-envelope
-/// loaders still speak.
-fn read_line<R: BufRead + ?Sized>(mut r: &mut R) -> std::io::Result<String> {
-    textio::read_line(&mut r).map_err(|e| bad(e.to_string()))
-}
-
-/// The on-disk representation a snapshot is written in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// The line-oriented v2 envelope — human-inspectable, and what every
-    /// pre-v3 tool reads.
-    Text,
-    /// The `ocular-snapshot v3` binary container — mmap-able, checksummed,
-    /// loaded zero-copy by the serving tier.
-    #[default]
-    Binary,
-}
 
 /// An OCuLaR serving snapshot: the fitted factor model plus its
 /// candidate-generation index.
@@ -114,11 +83,9 @@ pub struct Snapshot {
     /// Per-cluster inverted item lists built at snapshot time.
     pub index: ClusterIndex,
     /// Optional quantized item factors (`f32` or per-row affine `int8`)
-    /// for the serving fast path. Produced at save time by
-    /// [`Snapshot::with_quantization`]; carried only by the v3 binary
-    /// container — the text envelope drops it (the f64 master is always
-    /// present, so a text round-trip loses nothing but the precomputed
-    /// narrow copy).
+    /// for the serving fast path, derived from the f64 master by
+    /// [`Snapshot::with_quantization`] and stored as extra v3 sections.
+    /// Imported v1/v2 text snapshots predate quantization and carry none.
     pub quant: Option<QuantizedFactors>,
 }
 
@@ -143,83 +110,25 @@ impl Snapshot {
         self
     }
 
-    /// Serialises the snapshot (v2 envelope: model + index + sentinel) to
-    /// a writer. Use [`AnySnapshot::save_with_ids`] to also embed the
-    /// dataset's external-id tables.
-    pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
-        writeln!(w, "{V2_PREFIX} {OCULAR_KIND}")?;
-        self.write_payload(&mut w)?;
-        writeln!(w, "{FOOTER}")?;
-        w.flush()
-    }
-
-    /// Writes the kind-specific payload (model + index), without envelope
-    /// header or footer.
-    fn write_payload<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        self.model.save(w)?;
-        writeln!(
-            w,
-            "{INDEX_HEADER} {} {} {:e}",
-            self.index.n_clusters(),
-            self.index.n_items(),
-            self.index.rel()
-        )?;
-        for c in 0..self.index.n_clusters() {
-            let list = self.index.cluster_items(c);
-            write!(w, "{}", list.len())?;
-            for &i in list {
-                write!(w, " {i}")?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
-    }
-
-    /// Loads an OCuLaR snapshot, accepting both the v1 envelope and a v2
-    /// envelope tagged `ocular`, and validating the envelope, the index
-    /// section shape, bounds, ordering, and the trailing sentinel. Any
-    /// corruption or truncation is an `InvalidData` error.
-    pub fn load<R: BufRead>(r: &mut R) -> std::io::Result<Snapshot> {
-        let header = read_line(r)?;
-        if header != V1_HEADER && header != format!("{V2_PREFIX} {OCULAR_KIND}") {
-            return Err(bad(format!(
-                "bad snapshot header, expected `{V1_HEADER}` or `{V2_PREFIX} {OCULAR_KIND}`"
-            )));
-        }
-        Self::load_body(r)
-    }
-
-    /// Parses the envelope body after the header line: model, index, an
-    /// optional (discarded) id-maps section, footer.
-    fn load_body<R: BufRead>(r: &mut R) -> std::io::Result<Snapshot> {
-        let snapshot = Self::load_payload(r)?;
-        read_ids_then_footer(r).map_err(|e| bad(e.to_string()))?;
-        Ok(snapshot)
-    }
-
-    /// Parses the kind-specific payload: model + index, stopping before
-    /// any trailing section.
-    fn load_payload<R: BufRead>(r: &mut R) -> std::io::Result<Snapshot> {
-        let model = FactorModel::load(r)?;
+    /// Parses the OCuLaR text payload — the `ocular-model v1` factors,
+    /// then the index section — validating the index's shape, bounds and
+    /// ordering against the model.
+    fn import_payload(r: &mut dyn BufRead) -> Result<Snapshot, OcularError> {
+        let model = FactorModel::load_model(r)?;
 
         let header = read_line(r)?;
         let rest = header
             .strip_prefix(INDEX_HEADER)
             .ok_or_else(|| bad(format!("bad index header, expected `{INDEX_HEADER} …`")))?;
         let fields: Vec<&str> = rest.split_whitespace().collect();
-        if fields.len() != 3 {
-            return Err(bad("index header needs n_clusters n_items rel".into()));
-        }
-        let n_clusters: usize = fields[0]
+        let [n_clusters, n_items, rel] = fields[..] else {
+            return Err(bad("index header needs n_clusters n_items rel"));
+        };
+        let n_clusters: usize = n_clusters
             .parse()
-            .map_err(|_| bad("bad index n_clusters".into()))?;
-        let n_items: usize = fields[1]
-            .parse()
-            .map_err(|_| bad("bad index n_items".into()))?;
-        let rel: f64 = fields[2]
-            .parse()
-            .map_err(|_| bad("bad index rel cutoff".into()))?;
+            .map_err(|_| bad("bad index n_clusters"))?;
+        let n_items: usize = n_items.parse().map_err(|_| bad("bad index n_items"))?;
+        let rel: f64 = rel.parse().map_err(|_| bad("bad index rel cutoff"))?;
         if n_clusters != model.n_clusters() {
             return Err(bad(format!(
                 "index has {n_clusters} clusters but model has {}",
@@ -253,8 +162,7 @@ impl Snapshot {
             }
             items.push(list);
         }
-        let index =
-            ClusterIndex::from_parts(rel, n_items, items).map_err(|e| bad(e.to_string()))?;
+        let index = ClusterIndex::from_parts(rel, n_items, items).map_err(bad)?;
         Ok(Snapshot {
             model,
             index,
@@ -263,39 +171,16 @@ impl Snapshot {
     }
 }
 
-/// Writes the optional external-id-maps section (header + one line per
-/// axis).
-fn write_ids_section<W: Write>(w: &mut W, ids: &IdMaps) -> std::io::Result<()> {
-    writeln!(w, "{IDS_HEADER} {} {}", ids.n_users(), ids.n_items())?;
-    for axis in [ids.users(), ids.items()] {
-        let mut first = true;
-        for &id in axis {
-            if first {
-                write!(w, "{id}")?;
-                first = false;
-            } else {
-                write!(w, " {id}")?;
-            }
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Reads one line of exactly `n` external ids.
-fn read_ids_line<R: BufRead + ?Sized>(
-    r: &mut R,
-    n: usize,
-    what: &str,
-) -> Result<Vec<u64>, OcularError> {
+/// Reads one text line of exactly `n` external ids.
+fn read_ids_line(r: &mut dyn BufRead, n: usize, what: &str) -> Result<Vec<u64>, OcularError> {
     let line = read_line(r)?;
     let ids: Vec<u64> = line
         .split_whitespace()
         .map(|f| f.parse::<u64>())
         .collect::<Result<_, _>>()
-        .map_err(|_| OcularError::Corrupt(format!("id-maps: bad {what} id")))?;
+        .map_err(|_| bad(format!("id-maps: bad {what} id")))?;
     if ids.len() != n {
-        return Err(OcularError::Corrupt(format!(
+        return Err(bad(format!(
             "id-maps: declared {n} {what} ids, found {}",
             ids.len()
         )));
@@ -303,19 +188,10 @@ fn read_ids_line<R: BufRead + ?Sized>(
     Ok(ids)
 }
 
-/// Writes the optional live-refresh metadata section (one line).
-fn write_meta_section<W: Write>(w: &mut W, meta: &SnapshotMeta) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "{META_HEADER} {} {} {} {}",
-        meta.generation, meta.n_users, meta.n_items, meta.nnz
-    )
-}
-
-/// After the payload: parses the optional trailing sections in order —
+/// After a text payload: parses the optional trailing sections in order —
 /// `snapshot-meta v1`, then `id-maps v1` — then the trailing sentinel.
-fn read_tail_sections<R: BufRead + ?Sized>(
-    r: &mut R,
+fn read_tail_sections(
+    r: &mut dyn BufRead,
 ) -> Result<(Option<SnapshotMeta>, Option<IdMaps>), OcularError> {
     let mut line = read_line(r)?;
     let mut meta = None;
@@ -327,10 +203,10 @@ fn read_tail_sections<R: BufRead + ?Sized>(
             .split_whitespace()
             .map(|f| f.parse::<u64>())
             .collect::<Result<_, _>>()
-            .map_err(|_| OcularError::Corrupt("snapshot-meta: bad value".into()))?;
+            .map_err(|_| bad("snapshot-meta: bad value"))?;
         let [generation, n_users, n_items, nnz] = fields[..] else {
-            return Err(OcularError::Corrupt(
-                "snapshot-meta header needs generation n_users n_items nnz".into(),
+            return Err(bad(
+                "snapshot-meta header needs generation n_users n_items nnz",
             ));
         };
         meta = Some(SnapshotMeta {
@@ -351,35 +227,23 @@ fn read_tail_sections<R: BufRead + ?Sized>(
         .strip_prefix(IDS_HEADER)
         .and_then(|rest| rest.strip_prefix(' '))
         .ok_or_else(|| {
-            OcularError::Corrupt(format!(
+            bad(format!(
                 "expected `{META_HEADER} …`, `{IDS_HEADER} …` or `{FOOTER}`, got `{line}`"
             ))
         })?;
     let fields: Vec<&str> = rest.split_whitespace().collect();
-    if fields.len() != 2 {
-        return Err(OcularError::Corrupt(
-            "id-maps header needs n_users n_items".into(),
-        ));
-    }
-    let n_users: usize = fields[0]
-        .parse()
-        .map_err(|_| OcularError::Corrupt("bad id-maps n_users".into()))?;
-    let n_items: usize = fields[1]
-        .parse()
-        .map_err(|_| OcularError::Corrupt("bad id-maps n_items".into()))?;
+    let [n_users, n_items] = fields[..] else {
+        return Err(bad("id-maps header needs n_users n_items"));
+    };
+    let n_users: usize = n_users.parse().map_err(|_| bad("bad id-maps n_users"))?;
+    let n_items: usize = n_items.parse().map_err(|_| bad("bad id-maps n_items"))?;
     let users = read_ids_line(r, n_users, "user")?;
     let items = read_ids_line(r, n_items, "item")?;
-    let ids =
-        IdMaps::new(users, items).map_err(|e| OcularError::Corrupt(format!("id-maps: {e}")))?;
+    let ids = IdMaps::new(users, items).map_err(|e| bad(format!("id-maps: {e}")))?;
     if read_line(r)? != FOOTER {
-        return Err(OcularError::Corrupt(format!("missing `{FOOTER}` sentinel")));
+        return Err(bad(format!("missing `{FOOTER}` sentinel")));
     }
     Ok((meta, Some(ids)))
-}
-
-/// [`read_tail_sections`] for loaders that only need the id maps.
-fn read_ids_then_footer<R: BufRead + ?Sized>(r: &mut R) -> Result<Option<IdMaps>, OcularError> {
-    read_tail_sections(r).map(|(_, ids)| ids)
 }
 
 impl Snapshot {
@@ -504,137 +368,15 @@ impl AnySnapshot {
         }
     }
 
-    /// Serialises the snapshot in the v2 envelope.
+    /// Serialises the snapshot as an `ocular-snapshot v3` binary container,
+    /// plus the optional id maps (the training dataset's external↔internal
+    /// tables) and live-refresh metadata (retrain generation + source-data
+    /// watermark). Write the bytes to a file with [`std::fs::write`].
     ///
     /// An `Other` payload whose kind tag is `ocular` is rejected: the
-    /// `ocular` kind's on-disk format includes the co-cluster index
-    /// section, which only [`AnySnapshot::Ocular`] carries — saving a bare
-    /// `FactorModel` under that tag would produce an envelope the loader
-    /// (correctly) refuses.
-    pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        self.save_with_ids(None, w)
-    }
-
-    /// [`AnySnapshot::save`] plus the optional `id-maps` section: passing
-    /// the training dataset's [`IdMaps`] makes the snapshot carry the
-    /// external↔internal id tables to the serving tier, so external-id
-    /// requests resolve without access to the original interaction file.
-    pub fn save_with_ids<W: Write>(&self, ids: Option<&IdMaps>, w: &mut W) -> std::io::Result<()> {
-        self.save_full(ids, None, w)
-    }
-
-    /// [`AnySnapshot::save_with_ids`] plus the optional `snapshot-meta`
-    /// section carrying live-refresh provenance (retrain generation +
-    /// source-data watermark).
-    pub fn save_full<W: Write>(
-        &self,
-        ids: Option<&IdMaps>,
-        meta: Option<&SnapshotMeta>,
-        w: &mut W,
-    ) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
-        match self {
-            AnySnapshot::Ocular(s) => {
-                writeln!(w, "{V2_PREFIX} {OCULAR_KIND}")?;
-                s.write_payload(&mut w)?;
-            }
-            AnySnapshot::Other(m) => {
-                if m.kind() == OCULAR_KIND {
-                    return Err(bad(format!(
-                        "kind `{OCULAR_KIND}` must be snapshotted as AnySnapshot::Ocular \
-                         (its format carries the co-cluster index)"
-                    )));
-                }
-                writeln!(w, "{V2_PREFIX} {}", m.kind())?;
-                m.save_model(&mut w)?;
-            }
-        }
-        if let Some(meta) = meta {
-            write_meta_section(&mut w, meta)?;
-        }
-        if let Some(ids) = ids {
-            write_ids_section(&mut w, ids)?;
-        }
-        writeln!(w, "{FOOTER}")?;
-        w.flush()
-    }
-
-    /// Loads a snapshot of any kind: the v1 envelope (implicitly
-    /// `ocular`), or a v2 envelope whose kind tag is dispatched against
-    /// the registry of known model kinds. Unknown kinds are
-    /// [`OcularError::UnknownModelKind`]; corruption and truncation are
-    /// [`OcularError::Corrupt`].
-    pub fn load<R: BufRead>(r: &mut R) -> Result<AnySnapshot, OcularError> {
-        Ok(Self::load_with_ids(r)?.0)
-    }
-
-    /// [`AnySnapshot::load`] that also surfaces the optional `id-maps`
-    /// section (`None` for snapshots written without one).
-    pub fn load_with_ids<R: BufRead>(
-        r: &mut R,
-    ) -> Result<(AnySnapshot, Option<IdMaps>), OcularError> {
-        let loaded = Self::load_full(r)?;
-        Ok((loaded.snapshot, loaded.ids))
-    }
-
-    /// [`AnySnapshot::load_with_ids`] that also surfaces the optional
-    /// live-refresh metadata section.
-    pub fn load_full<R: BufRead>(r: &mut R) -> Result<LoadedSnapshot, OcularError> {
-        let header = read_line(r).map_err(OcularError::from)?;
-        if header == V1_HEADER {
-            let snapshot = Snapshot::load_payload(r).map_err(OcularError::from)?;
-            let (meta, ids) = read_tail_sections(r)?;
-            return Ok(LoadedSnapshot {
-                snapshot: AnySnapshot::Ocular(snapshot),
-                ids,
-                meta,
-            });
-        }
-        // the separator is part of the required prefix, so `v2wals` (no
-        // space) and version strings like `v2.1` are rejected instead of
-        // mis-binning into a kind tag
-        let kind = header
-            .strip_prefix(V2_PREFIX)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .filter(|kind| !kind.is_empty() && !kind.contains(char::is_whitespace))
-            .ok_or_else(|| {
-                OcularError::Corrupt(format!(
-                    "bad snapshot header, expected `{V1_HEADER}` or `{V2_PREFIX} <kind>`"
-                ))
-            })?;
-        let snapshot = if kind == OCULAR_KIND {
-            AnySnapshot::Ocular(Snapshot::load_payload(r).map_err(OcularError::from)?)
-        } else {
-            let model: Box<dyn Model> = match kind {
-                Wals::KIND => Box::new(Wals::load_model(r)?),
-                Bpr::KIND => Box::new(Bpr::load_model(r)?),
-                UserKnn::KIND => Box::new(UserKnn::load_model(r)?),
-                ItemKnn::KIND => Box::new(ItemKnn::load_model(r)?),
-                Popularity::KIND => Box::new(Popularity::load_model(r)?),
-                other => return Err(OcularError::UnknownModelKind(other.to_string())),
-            };
-            AnySnapshot::Other(model)
-        };
-        let (meta, ids) = read_tail_sections(r)?;
-        Ok(LoadedSnapshot {
-            snapshot,
-            ids,
-            meta,
-        })
-    }
-
-    /// Serialises the snapshot (plus optional id maps) as an
-    /// `ocular-snapshot v3` binary container and returns the bytes.
-    ///
-    /// Unlike the text format, the co-cluster index travels as typed
-    /// sections alongside the model's own, so the `Other`-arm guard of
-    /// [`AnySnapshot::save`] applies here too.
-    pub fn to_v3_bytes(&self, ids: Option<&IdMaps>) -> Result<Vec<u8>, OcularError> {
-        self.to_v3_bytes_full(ids, None)
-    }
-
-    /// [`AnySnapshot::to_v3_bytes`] plus the optional live-refresh
-    /// metadata section (retrain generation + source-data watermark).
+    /// `ocular` kind carries the co-cluster index, which only
+    /// [`AnySnapshot::Ocular`] has — encoding a bare `FactorModel` under
+    /// that tag would produce a container the loader (correctly) refuses.
     pub fn to_v3_bytes_full(
         &self,
         ids: Option<&IdMaps>,
@@ -662,58 +404,9 @@ impl AnySnapshot {
         Ok(w.finish())
     }
 
-    /// Writes the v3 binary container to a writer.
-    pub fn save_binary<W: Write>(
-        &self,
-        ids: Option<&IdMaps>,
-        w: &mut W,
-    ) -> Result<(), OcularError> {
-        let bytes = self.to_v3_bytes(ids)?;
-        w.write_all(&bytes).map_err(OcularError::from)
-    }
-
-    /// Saves the snapshot to a file in the chosen format.
-    pub fn save_path(
-        &self,
-        path: &Path,
-        ids: Option<&IdMaps>,
-        format: SnapshotFormat,
-    ) -> Result<(), OcularError> {
-        self.save_path_full(path, ids, None, format)
-    }
-
-    /// [`AnySnapshot::save_path`] plus the optional live-refresh metadata
-    /// section — what a retrain writes so the serving control plane can
-    /// report the generation and fold in users newer than the watermark.
-    pub fn save_path_full(
-        &self,
-        path: &Path,
-        ids: Option<&IdMaps>,
-        meta: Option<&SnapshotMeta>,
-        format: SnapshotFormat,
-    ) -> Result<(), OcularError> {
-        let mut file = std::fs::File::create(path).map_err(OcularError::from)?;
-        match format {
-            SnapshotFormat::Text => self
-                .save_full(ids, meta, &mut file)
-                .map_err(OcularError::from),
-            SnapshotFormat::Binary => {
-                let bytes = self.to_v3_bytes_full(ids, meta)?;
-                file.write_all(&bytes).map_err(OcularError::from)
-            }
-        }
-    }
-
     /// Loads a v3 binary snapshot from a byte region (owned or mapped).
     /// The factor matrices, cluster index and id maps **borrow** their
     /// large buffers from the region — no per-payload allocation.
-    pub fn load_v3(region: ModelBytes) -> Result<(AnySnapshot, Option<IdMaps>), OcularError> {
-        let loaded = Self::load_v3_full(region)?;
-        Ok((loaded.snapshot, loaded.ids))
-    }
-
-    /// [`AnySnapshot::load_v3`] that also surfaces the optional
-    /// live-refresh metadata section.
     pub fn load_v3_full(region: ModelBytes) -> Result<LoadedSnapshot, OcularError> {
         let r = SectionReader::open(region)?;
         let snapshot = match r.kind() {
@@ -734,29 +427,60 @@ impl AnySnapshot {
         })
     }
 
-    /// Loads a snapshot file of **either** format, sniffing the magic
-    /// bytes: v3 containers are memory-mapped and loaded zero-copy, v1/v2
-    /// text envelopes keep loading through the line-oriented path — old
-    /// snapshots work transparently.
-    pub fn load_path(path: &Path) -> Result<(AnySnapshot, Option<IdMaps>), OcularError> {
-        let loaded = Self::load_path_full(path)?;
-        Ok((loaded.snapshot, loaded.ids))
+    /// Imports a v1/v2 text snapshot: the v1 envelope (implicitly
+    /// `ocular`), or a v2 envelope whose kind tag is dispatched against the
+    /// registry of known model kinds, plus its optional metadata and id
+    /// maps. Unknown kinds are [`OcularError::UnknownModelKind`];
+    /// corruption and truncation are [`OcularError::Corrupt`].
+    pub fn import_text(r: &mut dyn BufRead) -> Result<LoadedSnapshot, OcularError> {
+        let header = read_line(r)?;
+        let kind = if header == V1_HEADER {
+            OCULAR_KIND
+        } else {
+            // the separator is part of the required prefix, so `v2wals`
+            // (no space) and version strings like `v2.1` are rejected
+            // instead of mis-binning into a kind tag
+            header
+                .strip_prefix(V2_PREFIX)
+                .and_then(|rest| rest.strip_prefix(' '))
+                .filter(|kind| !kind.is_empty() && !kind.contains(char::is_whitespace))
+                .ok_or_else(|| {
+                    bad(format!(
+                        "bad snapshot header, expected `{V1_HEADER}` or `{V2_PREFIX} <kind>`"
+                    ))
+                })?
+        };
+        let snapshot = match kind {
+            OCULAR_KIND => AnySnapshot::Ocular(Snapshot::import_payload(r)?),
+            Wals::KIND => AnySnapshot::Other(Box::new(Wals::load_model(r)?)),
+            Bpr::KIND => AnySnapshot::Other(Box::new(Bpr::load_model(r)?)),
+            UserKnn::KIND => AnySnapshot::Other(Box::new(UserKnn::load_model(r)?)),
+            ItemKnn::KIND => AnySnapshot::Other(Box::new(ItemKnn::load_model(r)?)),
+            Popularity::KIND => AnySnapshot::Other(Box::new(Popularity::load_model(r)?)),
+            other => return Err(OcularError::UnknownModelKind(other.to_string())),
+        };
+        let (meta, ids) = read_tail_sections(r)?;
+        Ok(LoadedSnapshot {
+            snapshot,
+            ids,
+            meta,
+        })
     }
 
-    /// [`AnySnapshot::load_path`] that also surfaces the optional
-    /// live-refresh metadata (generation + watermark), in either format.
+    /// Loads a snapshot file, sniffing the magic bytes: v3 containers are
+    /// memory-mapped and loaded zero-copy ([`AnySnapshot::load_v3_full`]),
+    /// anything else is imported as a v1/v2 text snapshot
+    /// ([`AnySnapshot::import_text`]).
     pub fn load_path_full(path: &Path) -> Result<LoadedSnapshot, OcularError> {
         let mut prefix = [0u8; 8];
-        let mut file = std::fs::File::open(path).map_err(OcularError::from)?;
-        let n = file.read(&mut prefix).map_err(OcularError::from)?;
+        let mut file = std::fs::File::open(path)?;
+        let n = file.read(&mut prefix)?;
         if is_v3(&prefix[..n]) {
             drop(file);
-            let region = ModelBytes::map_file(path).map_err(OcularError::from)?;
-            return Self::load_v3_full(region);
+            return Self::load_v3_full(ModelBytes::map_file(path)?);
         }
-        // text path: re-open from the start (the probe consumed bytes)
-        let file = std::fs::File::open(path).map_err(OcularError::from)?;
-        Self::load_full(&mut std::io::BufReader::new(file))
+        file.rewind()?;
+        Self::import_text(&mut std::io::BufReader::new(file))
     }
 }
 
@@ -1024,7 +748,6 @@ mod tests {
     use super::*;
     use ocular_api::ScoreItems;
     use ocular_baselines::WalsConfig;
-    use ocular_linalg::Matrix;
     use ocular_sparse::CsrMatrix;
 
     fn snapshot() -> Snapshot {
@@ -1036,82 +759,106 @@ mod tests {
         Snapshot::build(model, &IndexConfig { rel: 0.5, floor: 0 })
     }
 
+    /// [`snapshot`] as the pre-v3 writer rendered it: a v2 text envelope.
+    const FIXTURE_V2: &str = "ocular-snapshot v2 ocular\n\
+        ocular-model v1 2 3 2 0\n\
+        1e0 0e0\n0e0 1.2e0\n\
+        2e0 0e0\n1e0 1.5e0\n0e0 3e0\n\
+        cocluster-index v1 2 3 5e-1\n\
+        2 0 1\n2 1 2\n\
+        ocular-snapshot end\n";
+
+    /// [`FIXTURE_V2`] with the given optional sections spliced in before
+    /// the sentinel.
+    fn fixture_with(tail: &str) -> String {
+        FIXTURE_V2.replace(FOOTER, &format!("{tail}{FOOTER}"))
+    }
+
+    /// The text rendering of [`sample_ids`].
+    const IDS_TEXT: &str = "id-maps v1 2 3\n101 7\n900 4 55\n";
+    /// The text rendering of [`sample_meta`].
+    const META_TEXT: &str = "snapshot-meta v1 2 2 3 4\n";
+
+    /// A committed v2 text golden of the given kind.
+    fn golden(kind: &str) -> Vec<u8> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/data/golden")
+            .join(format!("v2-{kind}.snap"));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    }
+
+    fn import(text: &[u8]) -> Result<LoadedSnapshot, OcularError> {
+        AnySnapshot::import_text(&mut &text[..])
+    }
+
+    fn v3_cycle(
+        s: &AnySnapshot,
+        ids: Option<&IdMaps>,
+        meta: Option<&SnapshotMeta>,
+    ) -> LoadedSnapshot {
+        let bytes = s.to_v3_bytes_full(ids, meta).unwrap();
+        AnySnapshot::load_v3_full(ModelBytes::from_vec(bytes)).unwrap()
+    }
+
+    fn ocular(s: AnySnapshot) -> Snapshot {
+        match s {
+            AnySnapshot::Ocular(s) => s,
+            AnySnapshot::Other(m) => panic!("expected ocular, got `{}`", m.kind()),
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let s = snapshot();
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let loaded = Snapshot::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, s);
+        let loaded = v3_cycle(&AnySnapshot::Ocular(s.clone()), None, None);
+        assert_eq!(ocular(loaded.snapshot), s);
     }
 
     #[test]
     fn v1_envelope_still_loads() {
-        let s = snapshot();
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("ocular-snapshot v2 ocular\n"));
-        let v1 = text.replacen("ocular-snapshot v2 ocular", V1_HEADER, 1);
-        let loaded = Snapshot::load(&mut v1.as_bytes()).unwrap();
-        assert_eq!(loaded, s);
-        // and through the polymorphic loader
-        match AnySnapshot::load(&mut v1.as_bytes()).unwrap() {
-            AnySnapshot::Ocular(loaded) => assert_eq!(loaded, s),
-            AnySnapshot::Other(_) => panic!("v1 must load as ocular"),
+        let v1 = FIXTURE_V2.replacen("ocular-snapshot v2 ocular", V1_HEADER, 1);
+        for text in [FIXTURE_V2, &v1] {
+            let loaded = import(text.as_bytes()).unwrap();
+            assert!(loaded.ids.is_none() && loaded.meta.is_none());
+            assert_eq!(ocular(loaded.snapshot), snapshot());
         }
     }
 
     #[test]
     fn truncation_at_every_line_rejected() {
-        let s = snapshot();
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = fixture_with(&format!("{META_TEXT}{IDS_TEXT}"));
         let lines: Vec<&str> = text.lines().collect();
         for keep in 0..lines.len() {
             let partial = lines[..keep].join("\n");
             assert!(
-                Snapshot::load(&mut partial.as_bytes()).is_err(),
+                import(partial.as_bytes()).is_err(),
                 "truncation after {keep} lines must be rejected"
-            );
-            assert!(
-                AnySnapshot::load(&mut partial.as_bytes()).is_err(),
-                "AnySnapshot: truncation after {keep} lines must be rejected"
             );
         }
     }
 
     #[test]
     fn corrupt_sections_rejected() {
-        let s = snapshot();
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
         // wrong envelope
-        assert!(Snapshot::load(&mut "nope\n".as_bytes()).is_err());
+        assert!(import(b"nope\n").is_err());
         // tamper with the index header's cluster count
-        let tampered = text.replace("cocluster-index v1 2", "cocluster-index v1 3");
-        assert!(Snapshot::load(&mut tampered.as_bytes()).is_err());
-        // non-numeric item id
-        let tampered = text.replace("cocluster-index v1", "cocluster-index v9");
-        assert!(Snapshot::load(&mut tampered.as_bytes()).is_err());
+        let tampered = FIXTURE_V2.replace("cocluster-index v1 2", "cocluster-index v1 3");
+        assert!(import(tampered.as_bytes()).is_err());
+        // unknown index section version
+        let tampered = FIXTURE_V2.replace("cocluster-index v1", "cocluster-index v9");
+        assert!(import(tampered.as_bytes()).is_err());
     }
 
     #[test]
     fn list_length_mismatch_rejected() {
-        let s = snapshot();
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
         // cluster 0's list line is "2 0 1" (rel 0.5 keeps items 0, 1);
         // lie about its length
-        assert!(text.contains("\n2 0 1\n"), "fixture drifted: {text}");
-        let tampered = text.replace("\n2 0 1\n", "\n3 0 1\n");
-        assert!(Snapshot::load(&mut tampered.as_bytes()).is_err());
+        assert!(FIXTURE_V2.contains("\n2 0 1\n"));
+        let tampered = FIXTURE_V2.replace("\n2 0 1\n", "\n3 0 1\n");
+        assert!(import(tampered.as_bytes()).is_err());
         // out-of-order ids
-        let tampered = text.replace("\n2 0 1\n", "\n2 1 0\n");
-        assert!(Snapshot::load(&mut tampered.as_bytes()).is_err());
+        let tampered = FIXTURE_V2.replace("\n2 0 1\n", "\n2 1 0\n");
+        assert!(import(tampered.as_bytes()).is_err());
     }
 
     #[test]
@@ -1131,9 +878,7 @@ mod tests {
         wals.score_user(1, &mut want);
         let snap = AnySnapshot::Other(Box::new(wals));
         assert_eq!(snap.kind(), "wals");
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let loaded = AnySnapshot::load(&mut buf.as_slice()).unwrap();
+        let loaded = v3_cycle(&snap, None, None).snapshot;
         assert_eq!(loaded.kind(), "wals");
         match loaded {
             AnySnapshot::Other(m) => {
@@ -1143,17 +888,20 @@ mod tests {
             }
             AnySnapshot::Ocular(_) => panic!("wals must not load as ocular"),
         }
-        // truncation of a baseline payload is rejected
-        let text = String::from_utf8(buf).unwrap();
+        // a wALS text snapshot imports as its kind, and truncation of a
+        // baseline payload is rejected
+        let text = golden("wals");
+        assert_eq!(import(&text).unwrap().snapshot.kind(), "wals");
+        let text = String::from_utf8(text).unwrap();
         let cut: String = text.lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(AnySnapshot::load(&mut cut.as_bytes()).is_err());
+        assert!(import(cut.as_bytes()).is_err());
     }
 
     #[test]
     fn unknown_kind_rejected_with_typed_error() {
         let doc = "ocular-snapshot v2 neural-net\nwhatever\nocular-snapshot end\n";
         assert!(matches!(
-            AnySnapshot::load(&mut doc.as_bytes()),
+            import(doc.as_bytes()),
             Err(OcularError::UnknownModelKind(k)) if k == "neural-net"
         ));
     }
@@ -1162,17 +910,17 @@ mod tests {
     fn malformed_v2_headers_are_corrupt_not_misbinned() {
         // no separator: must not parse as kind `wals`
         assert!(matches!(
-            AnySnapshot::load(&mut "ocular-snapshot v2wals\n".as_bytes()),
+            import(b"ocular-snapshot v2wals\n"),
             Err(OcularError::Corrupt(_))
         ));
         // future version strings must not strip into a bogus kind
         assert!(matches!(
-            AnySnapshot::load(&mut "ocular-snapshot v2.1 wals\n".as_bytes()),
+            import(b"ocular-snapshot v2.1 wals\n"),
             Err(OcularError::Corrupt(_))
         ));
         // empty kind tag
         assert!(matches!(
-            AnySnapshot::load(&mut "ocular-snapshot v2 \n".as_bytes()),
+            import(b"ocular-snapshot v2 \n"),
             Err(OcularError::Corrupt(_))
         ));
     }
@@ -1185,24 +933,20 @@ mod tests {
     fn id_maps_section_round_trips_for_ocular() {
         let s = AnySnapshot::Ocular(snapshot());
         let ids = sample_ids();
-        let mut buf = Vec::new();
-        s.save_with_ids(Some(&ids), &mut buf).unwrap();
-        let (loaded, got) = AnySnapshot::load_with_ids(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.kind(), "ocular");
-        assert_eq!(got, Some(ids.clone()));
-        // the typed loader tolerates (and discards) the section
-        let via_typed = Snapshot::load(&mut buf.as_slice()).unwrap();
-        match s {
-            AnySnapshot::Ocular(inner) => assert_eq!(via_typed, inner),
-            AnySnapshot::Other(_) => unreachable!(),
-        }
+        let loaded = v3_cycle(&s, Some(&ids), None);
+        assert_eq!(loaded.snapshot.kind(), "ocular");
+        assert_eq!(loaded.ids, Some(ids.clone()));
+        // the text section imports to the same tables and model
+        let text = fixture_with(IDS_TEXT);
+        let imported = import(text.as_bytes()).unwrap();
+        assert_eq!(imported.ids, Some(ids));
+        assert_eq!(ocular(imported.snapshot), snapshot());
         // truncation anywhere inside the ids section is rejected
-        let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         for keep in 0..lines.len() {
             let partial = lines[..keep].join("\n");
             assert!(
-                AnySnapshot::load_with_ids(&mut partial.as_bytes()).is_err(),
+                import(partial.as_bytes()).is_err(),
                 "truncation after {keep} lines must be rejected"
             );
         }
@@ -1211,52 +955,41 @@ mod tests {
     #[test]
     fn id_maps_section_round_trips_for_baseline_kinds() {
         let r = CsrMatrix::from_pairs(2, 3, &[(0, 0), (0, 2), (1, 1)]).unwrap();
-        let pop = ocular_baselines::Popularity::fit(&r.into());
+        let pop = AnySnapshot::Other(Box::new(ocular_baselines::Popularity::fit(&r.into())));
         let ids = sample_ids();
-        let mut buf = Vec::new();
-        AnySnapshot::Other(Box::new(pop))
-            .save_with_ids(Some(&ids), &mut buf)
-            .unwrap();
-        let (loaded, got) = AnySnapshot::load_with_ids(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.kind(), "popularity");
-        assert_eq!(got, Some(ids));
-        // ids-free load still works on the same bytes
-        assert_eq!(
-            AnySnapshot::load(&mut buf.as_slice()).unwrap().kind(),
-            "popularity"
-        );
+        let loaded = v3_cycle(&pop, Some(&ids), None);
+        assert_eq!(loaded.snapshot.kind(), "popularity");
+        assert_eq!(loaded.ids, Some(ids));
+        // a baseline text snapshot's id maps import too
+        let imported = import(&golden("popularity")).unwrap();
+        assert_eq!(imported.snapshot.kind(), "popularity");
+        assert_eq!(imported.ids.map(|ids| ids.users()[1]), Some(1_007));
     }
 
     #[test]
     fn snapshots_without_ids_load_with_none() {
         let s = AnySnapshot::Ocular(snapshot());
-        let mut buf = Vec::new();
-        s.save(&mut buf).unwrap();
-        let (_, ids) = AnySnapshot::load_with_ids(&mut buf.as_slice()).unwrap();
-        assert_eq!(ids, None);
+        assert_eq!(v3_cycle(&s, None, None).ids, None);
+        assert_eq!(import(FIXTURE_V2.as_bytes()).unwrap().ids, None);
     }
 
     #[test]
     fn corrupt_id_maps_rejected() {
-        let s = AnySnapshot::Ocular(snapshot());
-        let ids = sample_ids();
-        let mut buf = Vec::new();
-        s.save_with_ids(Some(&ids), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = fixture_with(IDS_TEXT);
         // wrong count
         let tampered = text.replace("id-maps v1 2 3", "id-maps v1 3 3");
-        assert!(AnySnapshot::load_with_ids(&mut tampered.as_bytes()).is_err());
+        assert!(import(tampered.as_bytes()).is_err());
         // duplicate external id
         let tampered = text.replace("101 7", "101 101");
-        assert!(AnySnapshot::load_with_ids(&mut tampered.as_bytes()).is_err());
+        assert!(import(tampered.as_bytes()).is_err());
         // non-numeric id
         let tampered = text.replace("900 4 55", "900 x 55");
-        assert!(AnySnapshot::load_with_ids(&mut tampered.as_bytes()).is_err());
+        assert!(import(tampered.as_bytes()).is_err());
         // a future/corrupt section version must not mis-bin into v1
         // (`id-maps v10 …` would otherwise strip to a valid-looking count)
         let tampered = text.replace("id-maps v1 ", "id-maps v10 ");
         assert!(matches!(
-            AnySnapshot::load_with_ids(&mut tampered.as_bytes()),
+            import(tampered.as_bytes()),
             Err(OcularError::Corrupt(_))
         ));
     }
@@ -1272,62 +1005,49 @@ mod tests {
 
     #[test]
     fn snapshot_meta_round_trips_in_text_format() {
-        let s = AnySnapshot::Ocular(snapshot());
         let (meta, ids) = (sample_meta(), sample_ids());
-        let mut buf = Vec::new();
-        s.save_full(Some(&ids), Some(&meta), &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.contains("snapshot-meta v1 2 2 3 4\n"), "{text}");
-        let loaded = AnySnapshot::load_full(&mut buf.as_slice()).unwrap();
+        let loaded = import(fixture_with(&format!("{META_TEXT}{IDS_TEXT}")).as_bytes()).unwrap();
         assert_eq!(loaded.meta, Some(meta));
         assert_eq!(loaded.ids, Some(ids));
-        // legacy loaders tolerate (and discard) the section
-        let (_, got_ids) = AnySnapshot::load_with_ids(&mut buf.as_slice()).unwrap();
-        assert!(got_ids.is_some());
-        assert!(Snapshot::load(&mut buf.as_slice()).is_ok());
 
         // meta without ids, and a corrupt meta line
-        let mut buf = Vec::new();
-        s.save_full(None, Some(&meta), &mut buf).unwrap();
-        let loaded = AnySnapshot::load_full(&mut buf.as_slice()).unwrap();
+        let text = fixture_with(META_TEXT);
+        let loaded = import(text.as_bytes()).unwrap();
         assert_eq!(loaded.meta, Some(meta));
         assert_eq!(loaded.ids, None);
-        let tampered = String::from_utf8(buf)
-            .unwrap()
-            .replace("snapshot-meta v1 2 2 3 4", "snapshot-meta v1 2 2 3");
-        assert!(AnySnapshot::load_full(&mut tampered.as_bytes()).is_err());
+        let tampered = text.replace("snapshot-meta v1 2 2 3 4", "snapshot-meta v1 2 2 3");
+        assert!(import(tampered.as_bytes()).is_err());
     }
 
     #[test]
     fn snapshot_meta_round_trips_in_v3_format() {
         let s = AnySnapshot::Ocular(snapshot());
         let (meta, ids) = (sample_meta(), sample_ids());
-        let bytes = s.to_v3_bytes_full(Some(&ids), Some(&meta)).unwrap();
-        let loaded = AnySnapshot::load_v3_full(ModelBytes::from_vec(bytes)).unwrap();
+        let loaded = v3_cycle(&s, Some(&ids), Some(&meta));
         assert_eq!(loaded.meta, Some(meta));
         assert_eq!(loaded.ids, Some(ids));
         // snapshots without the section load with None
-        let bytes = s.to_v3_bytes(None).unwrap();
-        let loaded = AnySnapshot::load_v3_full(ModelBytes::from_vec(bytes)).unwrap();
-        assert_eq!(loaded.meta, None);
+        assert_eq!(v3_cycle(&s, None, None).meta, None);
     }
 
     #[test]
     fn snapshot_meta_survives_save_path_in_both_formats() {
-        let dir = std::env::temp_dir().join("ocular_serve_meta_path_test");
+        let dir =
+            std::env::temp_dir().join(format!("ocular_serve_meta_path_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let s = AnySnapshot::Ocular(snapshot());
         let meta = sample_meta();
-        for (name, format) in [
-            ("snap.txt", SnapshotFormat::Text),
-            ("snap.bin", SnapshotFormat::Binary),
+        let v3 = AnySnapshot::Ocular(snapshot())
+            .to_v3_bytes_full(None, Some(&meta))
+            .unwrap();
+        for (name, bytes) in [
+            ("snap.txt", fixture_with(META_TEXT).into_bytes()),
+            ("snap.bin", v3),
         ] {
             let path = dir.join(name);
-            s.save_path_full(&path, None, Some(&meta), format).unwrap();
+            std::fs::write(&path, bytes).unwrap();
             let loaded = AnySnapshot::load_path_full(&path).unwrap();
             assert_eq!(loaded.meta, Some(meta), "{name}");
-            // the meta-blind loader still works on the same file
-            assert!(AnySnapshot::load_path(&path).is_ok(), "{name}");
+            assert_eq!(ocular(loaded.snapshot), snapshot(), "{name}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1337,19 +1057,20 @@ mod tests {
         for dtype in [QuantDtype::F32, QuantDtype::I8] {
             let s = snapshot().with_quantization(dtype);
             assert_eq!(s.quant.as_ref().unwrap().dtype(), dtype);
-            let bytes = AnySnapshot::Ocular(s.clone()).to_v3_bytes(None).unwrap();
-            let (loaded, _) = AnySnapshot::load_v3(ModelBytes::from_vec(bytes.clone())).unwrap();
-            let AnySnapshot::Ocular(loaded) = loaded else {
-                panic!("quantized ocular snapshot must load as ocular");
-            };
+            let bytes = AnySnapshot::Ocular(s.clone())
+                .to_v3_bytes_full(None, None)
+                .unwrap();
+            let loaded = AnySnapshot::load_v3_full(ModelBytes::from_vec(bytes.clone())).unwrap();
+            let loaded = ocular(loaded.snapshot);
             assert_eq!(loaded, s, "{dtype}: v3 round-trip must preserve quant");
             // v3 re-serialisation of the loaded snapshot is a fixed point
-            let again = AnySnapshot::Ocular(loaded).to_v3_bytes(None).unwrap();
+            let again = AnySnapshot::Ocular(loaded)
+                .to_v3_bytes_full(None, None)
+                .unwrap();
             assert_eq!(again, bytes, "{dtype}: v3 must be a fixed point");
-            // the text envelope drops the narrow copy, keeping the master
-            let mut buf = Vec::new();
-            s.save(&mut buf).unwrap();
-            let text_loaded = Snapshot::load(&mut buf.as_slice()).unwrap();
+            // text snapshots predate quantization: an import carries the
+            // f64 master only
+            let text_loaded = ocular(import(FIXTURE_V2.as_bytes()).unwrap().snapshot);
             assert_eq!(text_loaded.quant, None);
             assert_eq!(text_loaded.model, s.model);
         }
@@ -1358,12 +1079,7 @@ mod tests {
     #[test]
     fn unquantized_v3_snapshots_load_with_no_quant() {
         let s = AnySnapshot::Ocular(snapshot());
-        let bytes = s.to_v3_bytes(None).unwrap();
-        let (loaded, _) = AnySnapshot::load_v3(ModelBytes::from_vec(bytes)).unwrap();
-        match loaded {
-            AnySnapshot::Ocular(inner) => assert_eq!(inner.quant, None),
-            AnySnapshot::Other(_) => panic!("must load as ocular"),
-        }
+        assert_eq!(ocular(v3_cycle(&s, None, None).snapshot).quant, None);
     }
 
     #[test]
@@ -1374,11 +1090,10 @@ mod tests {
             false,
         );
         let snap = AnySnapshot::Other(Box::new(model));
-        let mut buf = Vec::new();
-        let err = snap.save(&mut buf).unwrap_err();
+        let err = snap.to_v3_bytes_full(None, None).unwrap_err();
         assert!(
             err.to_string().contains("AnySnapshot::Ocular"),
-            "saving a bare ocular payload must fail loudly: {err}"
+            "encoding a bare ocular payload must fail loudly: {err}"
         );
     }
 }

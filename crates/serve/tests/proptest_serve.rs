@@ -3,13 +3,15 @@
 //! 1. The bounded-heap top-M kernel equals sort-based selection on random
 //!    score vectors — including heavy ties, which is where a wrong
 //!    comparator or heap invariant would diverge.
-//! 2. Snapshots round-trip exactly, and corrupted/truncated snapshot bytes
-//!    are rejected rather than mis-loaded.
+//! 2. Snapshots round-trip exactly through the v3 container, and
+//!    truncated or corrupted v1/v2 text snapshots are rejected (or import
+//!    the same shape) rather than mis-loaded or panicking.
 
+use ocular_bytes::ModelBytes;
 use ocular_core::topm::top_m_excluding;
 use ocular_core::{FactorModel, Recommendation};
 use ocular_linalg::Matrix;
-use ocular_serve::{IndexConfig, Snapshot};
+use ocular_serve::{AnySnapshot, IndexConfig, Snapshot};
 use proptest::prelude::*;
 
 /// Reference: score everything, full sort (probability descending, ties by
@@ -74,43 +76,76 @@ proptest! {
     #[test]
     fn snapshot_roundtrips_exactly(model in arb_model(), rel in 0.1f64..=1.0, floor in 0usize..8) {
         let snap = Snapshot::build(model, &IndexConfig { rel, floor });
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let loaded = Snapshot::load(&mut buf.as_slice()).unwrap();
+        let v3 = AnySnapshot::Ocular(snap.clone()).to_v3_bytes_full(None, None).unwrap();
+        let loaded = AnySnapshot::load_v3_full(ModelBytes::from_vec(v3)).unwrap();
+        let AnySnapshot::Ocular(loaded) = loaded.snapshot else {
+            panic!("ocular snapshot must load as ocular")
+        };
         prop_assert_eq!(loaded, snap);
     }
 
     #[test]
-    fn truncated_snapshots_rejected(model in arb_model(), cut in 0usize..400) {
-        let snap = Snapshot::build(model, &IndexConfig::default());
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        // dropping only the final newline still leaves a complete document,
-        // so cut at least one byte of the footer sentinel itself
-        let cut = cut.min(buf.len().saturating_sub(2));
-        prop_assert!(
-            Snapshot::load(&mut &buf[..cut]).is_err(),
-            "loading only {cut}/{} bytes must fail",
-            buf.len()
-        );
-    }
-
-    #[test]
-    fn corrupted_snapshots_never_misload(model in arb_model(), pos in 0usize..400, byte in 0u8..=255) {
-        let snap = Snapshot::build(model, &IndexConfig::default());
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
+    fn corrupted_snapshots_never_misload(golden_ix in 0usize..GOLDENS.len(), pos in 0usize..12_000, byte in 0u8..=255) {
+        let original = golden(GOLDENS[golden_ix]);
+        let want = AnySnapshot::import_text(&mut original.as_slice()).unwrap();
+        let mut buf = original;
         let pos = pos % buf.len();
         if buf[pos] == byte {
             return Ok(()); // not a corruption
         }
         buf[pos] = byte;
-        // either rejected, or the parse is still self-consistent — but it
-        // must never panic, and a "successful" load must differ from the
-        // original only if the flipped byte was inside a value it parsed
-        if let Ok(loaded) = Snapshot::load(&mut buf.as_slice()) {
-            prop_assert_eq!(loaded.index.n_items(), snap.index.n_items());
-            prop_assert_eq!(loaded.model.n_users(), snap.model.n_users());
+        // either rejected, or the import is still self-consistent — but it
+        // must never panic, and a "successful" import keeps the shape
+        if let Ok(got) = AnySnapshot::import_text(&mut buf.as_slice()) {
+            prop_assert_eq!(got.snapshot.kind(), want.snapshot.kind());
+            prop_assert_eq!(shape(&got.snapshot), shape(&want.snapshot));
+        }
+    }
+}
+
+/// Every committed v1/v2 text golden.
+const GOLDENS: [&str; 7] = [
+    "v1-ocular",
+    "v2-ocular",
+    "v2-wals",
+    "v2-bpr",
+    "v2-user-knn",
+    "v2-item-knn",
+    "v2-popularity",
+];
+
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/data/golden")
+        .join(format!("{name}.snap"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// `(users, items)` of whichever model a snapshot carries.
+fn shape(snap: &AnySnapshot) -> (usize, usize) {
+    match snap {
+        AnySnapshot::Ocular(s) => (s.model.n_users(), s.model.n_items()),
+        AnySnapshot::Other(m) => (m.n_users(), m.n_items()),
+    }
+}
+
+#[test]
+fn truncated_snapshots_rejected() {
+    for name in GOLDENS {
+        let text = golden(name);
+        assert!(
+            AnySnapshot::import_text(&mut text.as_slice()).is_ok(),
+            "{name}"
+        );
+        // dropping only the final newline still leaves a complete
+        // document, so every cut up to and including one byte of the
+        // footer sentinel itself must fail
+        for cut in 0..text.len() - 1 {
+            assert!(
+                AnySnapshot::import_text(&mut &text[..cut]).is_err(),
+                "{name}: importing only {cut}/{} bytes must fail",
+                text.len()
+            );
         }
     }
 }

@@ -1,7 +1,8 @@
-//! v3 binary snapshot suite: text↔binary bit-exactness for every model
-//! kind, zero-copy serving from a read-only memory-mapped file, and
-//! rejection (typed `OcularError`, never a panic or silent garbage) of
-//! truncated and bit-flipped containers.
+//! v3 binary snapshot suite: bit-exact round trips for every model kind
+//! (including text imports re-encoded as v3), zero-copy serving from a
+//! read-only memory-mapped file, and rejection (typed `OcularError`,
+//! never a panic or silent garbage) of truncated and bit-flipped
+//! containers.
 
 use ocular_api::OcularError;
 use ocular_baselines::{
@@ -11,7 +12,8 @@ use ocular_bytes::ModelBytes;
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::planted::{generate, PlantedConfig};
 use ocular_serve::{
-    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, Request, ServeConfig, Snapshot,
+    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, LoadedSnapshot, Request, ServeConfig,
+    Snapshot,
 };
 use ocular_sparse::{Dataset, IdMaps};
 use proptest::prelude::*;
@@ -87,13 +89,12 @@ fn scores_of(snap: &AnySnapshot, u: usize) -> Vec<f64> {
     out
 }
 
-/// The text serialisation is the workspace's canonical bitwise-faithful
-/// form, so "binary round-trips bit-exactly" is asserted by comparing
-/// text serialisations before and after a binary cycle.
-fn text_bytes(snap: &AnySnapshot, ids: Option<&IdMaps>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    snap.save_with_ids(ids, &mut buf).unwrap();
-    buf
+fn v3_bytes(snap: &AnySnapshot, ids: Option<&IdMaps>) -> Vec<u8> {
+    snap.to_v3_bytes_full(ids, None).unwrap()
+}
+
+fn load_v3(bytes: Vec<u8>) -> Result<LoadedSnapshot, OcularError> {
+    AnySnapshot::load_v3_full(ModelBytes::from_vec(bytes))
 }
 
 #[test]
@@ -101,30 +102,50 @@ fn binary_and_text_round_trips_are_bit_exact_for_every_kind() {
     let r = dataset_with_ids();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let before = text_bytes(&snap, r.ids());
-        let v3 = snap.to_v3_bytes(r.ids()).unwrap();
-        let (loaded, ids) = AnySnapshot::load_v3(ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(loaded.kind(), kind);
+        let v3 = v3_bytes(&snap, r.ids());
+        let loaded = load_v3(v3.clone()).unwrap();
+        assert_eq!(loaded.snapshot.kind(), kind);
         assert_eq!(
-            ids.as_ref(),
+            loaded.ids.as_ref(),
             r.ids(),
             "kind {kind}: id maps must survive the binary cycle"
         );
-        // bitwise: the text rendering of the reloaded model is identical
-        assert_eq!(
-            text_bytes(&loaded, ids.as_ref()),
-            before,
-            "kind {kind}: binary cycle must be bit-exact"
-        );
-        // and so are the served scores
+        // bitwise: the served scores are identical
         for u in 0..r.n_users() {
-            assert_eq!(scores_of(&loaded, u), scores_of(&snap, u), "kind {kind}");
+            assert_eq!(
+                scores_of(&loaded.snapshot, u),
+                scores_of(&snap, u),
+                "kind {kind}"
+            );
         }
-        // the binary serialisation is itself a fixed point
+        // and the binary serialisation is a fixed point
         assert_eq!(
-            loaded.to_v3_bytes(ids.as_ref()).unwrap(),
+            v3_bytes(&loaded.snapshot, loaded.ids.as_ref()),
             v3,
             "kind {kind}: binary serialisation must be stable"
+        );
+    }
+    // text snapshots join the cycle by import: the committed text golden
+    // of every kind re-encodes to a v3 container that is itself a fixed
+    // point
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden");
+    for kind in [
+        "ocular",
+        "wals",
+        "bpr",
+        "user-knn",
+        "item-knn",
+        "popularity",
+    ] {
+        let text = std::fs::read(dir.join(format!("v2-{kind}.snap"))).unwrap();
+        let imported = AnySnapshot::import_text(&mut text.as_slice()).unwrap();
+        let v3 = v3_bytes(&imported.snapshot, imported.ids.as_ref());
+        let cycled = load_v3(v3.clone()).unwrap();
+        assert_eq!(cycled.ids, imported.ids, "kind {kind}");
+        assert_eq!(
+            v3_bytes(&cycled.snapshot, cycled.ids.as_ref()),
+            v3,
+            "kind {kind}: an imported text snapshot must cycle bit-exactly"
         );
     }
 }
@@ -133,9 +154,9 @@ fn binary_and_text_round_trips_are_bit_exact_for_every_kind() {
 fn zero_copy_load_borrows_from_the_region() {
     let r = dataset_with_ids();
     let snap = snapshot_zoo(&r).remove(0);
-    let v3 = snap.to_v3_bytes(r.ids()).unwrap();
-    let (loaded, ids) = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap();
-    let AnySnapshot::Ocular(s) = loaded else {
+    let loaded = load_v3(v3_bytes(&snap, r.ids())).unwrap();
+    let ids = loaded.ids;
+    let AnySnapshot::Ocular(s) = loaded.snapshot else {
         panic!("ocular kind expected")
     };
     if cfg!(target_endian = "little") {
@@ -159,10 +180,7 @@ fn serves_correctly_from_a_read_only_mapped_file() {
     let r = dataset_with_ids();
     let snap = snapshot_zoo(&r).remove(0);
     let path = std::env::temp_dir().join(format!("ocular-v3-serve-{}.snap", std::process::id()));
-    {
-        let mut file = std::fs::File::create(&path).unwrap();
-        snap.save_binary(r.ids(), &mut file).unwrap();
-    }
+    std::fs::write(&path, v3_bytes(&snap, r.ids())).unwrap();
     // read-only on disk: serving must not need write access
     let mut perms = std::fs::metadata(&path).unwrap().permissions();
     perms.set_readonly(true);
@@ -172,8 +190,9 @@ fn serves_correctly_from_a_read_only_mapped_file() {
     if cfg!(all(unix, target_pointer_width = "64")) {
         assert!(region.is_mapped(), "v3 load must map, not read");
     }
-    let (loaded, ids) = AnySnapshot::load_v3(region).unwrap();
-    let mapped_engine = EngineBuilder::from_snapshot(loaded)
+    let loaded = AnySnapshot::load_v3_full(region).unwrap();
+    let ids = loaded.ids;
+    let mapped_engine = EngineBuilder::from_snapshot(loaded.snapshot)
         .dataset(r.clone())
         .config(ServeConfig {
             default_m: 5,
@@ -223,9 +242,9 @@ fn truncation_rejected_at_every_length_for_every_kind() {
     let r = dataset();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let v3 = snap.to_v3_bytes(None).unwrap();
+        let v3 = v3_bytes(&snap, None);
         for keep in 0..v3.len() {
-            let result = AnySnapshot::load_v3(ModelBytes::from_vec(v3[..keep].to_vec()));
+            let result = load_v3(v3[..keep].to_vec());
             assert!(
                 matches!(result, Err(OcularError::Corrupt(_))),
                 "kind {kind}: truncation to {keep} bytes must be a typed Corrupt error"
@@ -240,7 +259,7 @@ fn unknown_kind_in_v3_container_is_typed() {
     w.put_u64s("meta", &[1, 1]);
     let bytes = w.finish();
     assert!(matches!(
-        AnySnapshot::load_v3(ModelBytes::from_vec(bytes)),
+        load_v3(bytes),
         Err(OcularError::UnknownModelKind(k)) if k == "neural-net"
     ));
 }
@@ -253,11 +272,11 @@ proptest! {
     #[test]
     fn bit_flips_rejected(seed in 0u64..1_000_000, kind_ix in 0usize..6) {
         let r = dataset();
-        let v3 = snapshot_zoo(&r)[kind_ix].to_v3_bytes(None).unwrap();
+        let v3 = v3_bytes(&snapshot_zoo(&r)[kind_ix], None);
         let bit = (seed as usize) % (v3.len() * 8);
         let mut flipped = v3;
         flipped[bit / 8] ^= 1 << (bit % 8);
-        let result = AnySnapshot::load_v3(ModelBytes::from_vec(flipped));
+        let result = load_v3(flipped);
         prop_assert!(
             result.is_err(),
             "flipping bit {bit} must be rejected"
@@ -286,8 +305,7 @@ proptest! {
         let item_factors = ocular_linalg::Matrix::from_vec(rows, cols, vals.to_vec());
         let model = ocular_core::FactorModel::new(user_factors, item_factors, false);
         let snap = AnySnapshot::Ocular(Snapshot::build(model, &IndexConfig { rel: 0.5, floor: 2 }));
-        let v3 = snap.to_v3_bytes(None).unwrap();
-        let (loaded, _) = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap();
+        let loaded = load_v3(v3_bytes(&snap, None)).unwrap().snapshot;
         let (AnySnapshot::Ocular(a), AnySnapshot::Ocular(b)) = (&snap, &loaded) else {
             panic!("ocular kind expected")
         };

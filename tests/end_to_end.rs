@@ -181,9 +181,11 @@ fn model_persistence_roundtrip_through_facade() {
         },
     )
     .model;
-    let mut buf: Vec<u8> = Vec::new();
-    model.save(&mut buf).unwrap();
-    let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
+    let mut w = ocular::api::SectionWriter::new(FactorModel::KIND);
+    model.write_sections(&mut w).unwrap();
+    let region = ocular::bytes::ModelBytes::from_vec(w.finish());
+    let r = ocular::api::SectionReader::open(region).unwrap();
+    let loaded = FactorModel::read_sections(&r).unwrap();
     assert_eq!(loaded, model);
     // loaded model scores identically
     let mut a = Vec::new();

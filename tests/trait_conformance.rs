@@ -4,15 +4,17 @@
 //! 1. the default [`Recommender::recommend`] equals brute-force
 //!    sort-and-truncate under heavy ties (the shared `ocular_linalg::topk`
 //!    kernel's convention: score descending, ties by ascending item);
-//! 2. kind-tagged snapshots round-trip **bitwise** through
-//!    [`AnySnapshot`];
-//! 3. legacy v1 OCuLaR snapshots still load;
+//! 2. kind-tagged v3 snapshots round-trip **bitwise** through
+//!    [`AnySnapshot`], and agree with the committed text goldens they
+//!    were imported from;
+//! 3. legacy v1 OCuLaR snapshots still import;
 //! 4. the serving engine's batched output equals offline `recommend` for
 //!    every kind, at 1/2/4/8 threads.
 
+use ocular::bytes::ModelBytes;
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::prelude::*;
-use ocular::serve::IndexConfig;
+use ocular::serve::{IndexConfig, LoadedSnapshot};
 
 fn dataset() -> ocular::sparse::Dataset {
     generate(&PlantedConfig {
@@ -72,6 +74,21 @@ fn snapshot_zoo(r: &ocular::sparse::Dataset) -> Vec<AnySnapshot> {
         AnySnapshot::Other(Box::new(ItemKnn::fit(r, &cfgs.item_knn))),
         AnySnapshot::Other(Box::new(Popularity::fit(r))),
     ]
+}
+
+/// Encodes a snapshot as v3 (no ids, no metadata) and loads it back.
+fn v3_cycle(snap: &AnySnapshot) -> (Vec<u8>, LoadedSnapshot) {
+    let v3 = snap.to_v3_bytes_full(None, None).unwrap();
+    let loaded = AnySnapshot::load_v3_full(ModelBytes::from_vec(v3.clone())).unwrap();
+    (v3, loaded)
+}
+
+/// A committed golden snapshot (`tests/data/golden/<name>`).
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
 /// Scores user `u` through whichever model a snapshot carries.
@@ -154,9 +171,8 @@ fn snapshots_roundtrip_bitwise_for_every_kind() {
     let r = dataset();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let loaded = AnySnapshot::load(&mut buf.as_slice()).unwrap();
+        let (v3, loaded) = v3_cycle(&snap);
+        let loaded = loaded.snapshot;
         assert_eq!(loaded.kind(), kind);
         for u in 0..r.n_rows() {
             assert_eq!(
@@ -171,35 +187,45 @@ fn snapshots_roundtrip_bitwise_for_every_kind() {
             );
         }
         // and the serialised bytes are a fixed point
-        let mut again = Vec::new();
-        loaded.save(&mut again).unwrap();
-        assert_eq!(again, buf, "kind {kind}: serialisation must be stable");
+        assert_eq!(
+            v3_cycle(&loaded).0,
+            v3,
+            "kind {kind}: serialisation must be stable"
+        );
     }
 }
 
 #[test]
 fn v3_binary_snapshots_agree_with_text_bitwise_for_every_kind() {
-    let r = dataset();
-    for snap in snapshot_zoo(&r) {
-        let kind = snap.kind();
-        let mut text = Vec::new();
-        snap.save(&mut text).unwrap();
-        let v3 = snap.to_v3_bytes(None).unwrap();
-        let (loaded, ids) =
-            AnySnapshot::load_v3(ocular::bytes::ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(loaded.kind(), kind);
-        assert_eq!(ids, None);
-        // the text rendering of the binary-cycled model is bit-identical
-        let mut text_again = Vec::new();
-        loaded.save(&mut text_again).unwrap();
-        assert_eq!(
-            text_again, text,
-            "kind {kind}: binary↔text must agree bitwise"
-        );
+    // every pinned v3 golden serves exactly what the text golden it was
+    // imported from serves
+    for kind in [
+        "ocular",
+        "wals",
+        "bpr",
+        "user-knn",
+        "item-knn",
+        "popularity",
+    ] {
+        let text = AnySnapshot::import_text(&mut golden(&format!("v2-{kind}.snap")).as_slice())
+            .unwrap()
+            .snapshot;
+        let v3 = golden(&format!("v3-{kind}.snap"));
+        let binary = AnySnapshot::load_v3_full(ModelBytes::from_vec(v3.clone()))
+            .unwrap()
+            .snapshot;
+        assert_eq!((text.kind(), binary.kind()), (kind, kind));
+        for u in 0..30 {
+            assert_eq!(
+                scores_of(&binary, u),
+                scores_of(&text, u),
+                "kind {kind}: user {u}: binary↔text must agree bitwise"
+            );
+        }
         // binary serialisation is a fixed point too
         assert_eq!(
-            loaded.to_v3_bytes(None).unwrap(),
-            v3,
+            v3_cycle(&binary).0,
+            v3_cycle(&text).0,
             "kind {kind}: v3 serialisation must be stable"
         );
     }
@@ -211,12 +237,9 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
     for dtype in [QuantDtype::F32, QuantDtype::I8] {
         let snap = ocular::serve::Snapshot::build(ocular_model(&r), &IndexConfig::default())
             .with_quantization(dtype);
-        let any = AnySnapshot::Ocular(snap.clone());
-        let v3 = any.to_v3_bytes(None).unwrap();
-        let (loaded, ids) =
-            AnySnapshot::load_v3(ocular::bytes::ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(ids, None);
-        let AnySnapshot::Ocular(cycled) = loaded else {
+        let (v3, loaded) = v3_cycle(&AnySnapshot::Ocular(snap.clone()));
+        assert!(loaded.ids.is_none());
+        let AnySnapshot::Ocular(cycled) = loaded.snapshot else {
             panic!("quantized snapshot must stay the ocular kind")
         };
         assert_eq!(
@@ -225,39 +248,22 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
         );
         // binary serialisation is a fixed point — bit-for-bit
         assert_eq!(
-            AnySnapshot::Ocular(cycled).to_v3_bytes(None).unwrap(),
+            v3_cycle(&AnySnapshot::Ocular(cycled)).0,
             v3,
             "{dtype}: v3 serialisation must be stable"
         );
-        // the text envelope has no quantized sections: saving drops them,
-        // the model itself survives
-        let mut text = Vec::new();
-        AnySnapshot::Ocular(snap.clone()).save(&mut text).unwrap();
-        match AnySnapshot::load(&mut text.as_slice()).unwrap() {
-            AnySnapshot::Ocular(s) => {
-                assert_eq!(s.model, snap.model);
-                assert_eq!(s.quant, None);
-            }
-            AnySnapshot::Other(_) => panic!("text cycle must stay ocular"),
-        }
     }
 }
 
 #[test]
 fn v1_ocular_snapshots_still_load() {
-    let r = dataset();
-    let snap = ocular::serve::Snapshot::build(ocular_model(&r), &IndexConfig::default());
-    let mut buf = Vec::new();
-    snap.save(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    assert!(text.starts_with("ocular-snapshot v2 ocular\n"));
-    // a v1 snapshot is the identical body under the v1 envelope header
-    let v1 = text.replacen("ocular-snapshot v2 ocular", "ocular-snapshot v1", 1);
-    let direct = ocular::serve::Snapshot::load(&mut v1.as_bytes()).unwrap();
-    assert_eq!(direct, snap);
-    match AnySnapshot::load(&mut v1.as_bytes()).unwrap() {
-        AnySnapshot::Ocular(s) => assert_eq!(s, snap),
-        AnySnapshot::Other(_) => panic!("v1 must load as the ocular kind"),
+    let import = |name: &str| AnySnapshot::import_text(&mut golden(name).as_slice()).unwrap();
+    let v1 = import("v1-ocular.snap");
+    assert!(v1.ids.is_none(), "the v1 era predates id maps");
+    // a v1 snapshot is the v2 body under the older envelope header
+    match (v1.snapshot, import("v2-ocular.snap").snapshot) {
+        (AnySnapshot::Ocular(a), AnySnapshot::Ocular(b)) => assert_eq!(a, b),
+        _ => panic!("v1 and v2 ocular snapshots must import as the ocular kind"),
     }
 }
 
